@@ -3,17 +3,18 @@
 //!
 //! Two axes per size:
 //!
-//! * `frontier/{N}x{M}` — the incremental-frontier scale path
+//! * `frontier/{N}x{M}` — the production kernel with clustering
 //!   ([`slrh::ScaleMode`]): worklist-driven startable maintenance,
 //!   ETC-similarity machine clusters with spill, and the bound-ordered
 //!   candidate scan.
-//! * `rebuild/{N}x{M}` — the paper-faithful pool path (per-query pool
-//!   construction with the incremental pool cache), the configuration
-//!   every golden fixture runs. Only benched at the smallest size: the
-//!   pool path is quadratic-ish in the frontier width and takes minutes
-//!   per run at 16k+, which is the point of the scale path.
+//! * `rebuild/{N}x{M}` — the reference pool walk
+//!   ([`slrh::SlrhConfig::reference_walk`]: paper-faithful per-query
+//!   pool construction), the differential oracle of the production
+//!   kernel. Only benched at the smallest size: the walk is
+//!   quadratic-ish in the frontier width and takes minutes per run at
+//!   16k+, which is the point of the frontier.
 //!
-//! Both paths commit byte-identical schedules
+//! At one cluster both commit byte-identical schedules
 //! (`crates/stress/src/scale.rs` proves it per seed), so the ratio is a
 //! pure kernel speedup. Numbers are recorded in `BENCH_scale.json` at
 //! the repository root via `cargo run -p bench --release --bin scale_ab`
@@ -77,7 +78,10 @@ fn bench_rebuild(c: &mut Criterion) {
     g.sample_size(10);
     let (tasks, machines, _) = SIZES[0];
     let sc = ScaleParams::new(tasks, machines).generate(0, 0);
-    let cfg = SlrhConfig::paper(SlrhVariant::V1, weights());
+    let cfg = SlrhConfig {
+        reference_walk: true,
+        ..SlrhConfig::paper(SlrhVariant::V1, weights())
+    };
     g.bench_with_input(
         BenchmarkId::new("rebuild", format!("{tasks}x{machines}")),
         &sc,

@@ -1,6 +1,6 @@
 //! 1-thread vs N-thread sweep throughput — the wall-clock lever the
-//! parallel rayon executor exists for (recorded next to
-//! `pool_cache_1024_case_b` in EXPERIMENTS.md's timing caveats).
+//! parallel rayon executor exists for (recorded in EXPERIMENTS.md's
+//! timing caveats).
 //!
 //! The workload is the reduced-suite weight search (`weight_stats` over
 //! a 2 × 2 scenario suite): the outer `par_iter` spreads scenarios over

@@ -4,10 +4,12 @@
 //! Four arms run from this one binary, interleaved within each round so
 //! background-load drift hits every arm equally:
 //!
-//! * **pool** — the paper-faithful per-query pool build (the
-//!   configuration every golden fixture runs). This is the recorded
-//!   `before`. Only timed where it fits the 30 s ceiling; beyond that
-//!   the case carries an explicit `"before": "not run …"` marker.
+//! * **pool** — the reference pool walk
+//!   ([`SlrhConfig::reference_walk`]: the paper-faithful per-query pool
+//!   build, the differential oracle of the production kernel). This is
+//!   the recorded `before`. Only timed where it fits the 30 s ceiling;
+//!   beyond that the case carries an explicit `"before": "not run …"`
+//!   marker.
 //! * **resort** — `ScaleMode { cached_orders: false, scan_threads: 1 }`:
 //!   the incremental frontier re-filtering and re-sorting its bound
 //!   order every query (the pre-cached-order scale path).
@@ -88,7 +90,7 @@ impl Arm {
     fn config(self, clusters: u32) -> SlrhConfig {
         let base = SlrhConfig::paper(SlrhVariant::V1, weights());
         let scale = match self {
-            Arm::Pool => return base,
+            Arm::Pool => return SlrhConfig { reference_walk: true, ..base },
             Arm::Resort => ScaleMode {
                 clusters,
                 spill_after: 8,
@@ -266,7 +268,7 @@ fn write_json(path: &str, results: &[CaseResult], design_ms: f64, rounds: usize)
     let commit = git_short(&["git", "rev-parse", "--short", "HEAD"], "unknown");
     let methodology = format!(
         "Interleaved, feature-ablated A/B from one binary on the same host: per round, the \
-         pool path (SlrhConfig::paper, the configuration every golden fixture runs), the \
+         reference pool walk (SlrhConfig::reference_walk, per-query pool builds), the \
          resort ablation (ScaleMode cached_orders=false), the cached-bound-order path at \
          scan_threads=1 and the full path at scan_threads=4 run back to back, {rounds} rounds \
          per case, so background-load drift hits every arm equally. 'before' is the pool arm, \

@@ -320,9 +320,6 @@ pub fn execute_open(
     ctx: &mut RunContext,
     emit: &mut dyn FnMut(Event),
 ) -> Result<MapResponse, String> {
-    if req.config.scale.is_some() {
-        return Err("open-system runs do not support the scale path".into());
-    }
     if req.jobs.is_empty() {
         return Err("open-request needs at least one job".into());
     }

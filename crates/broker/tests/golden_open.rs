@@ -137,6 +137,25 @@ fn dbc_request() -> MapRequest {
     }
 }
 
+/// The legacy `cache=off` spelling selects the one kernel: a map
+/// request carrying it reports the same bytes as `cache=on`.
+#[test]
+fn legacy_cache_off_map_request_reports_identically() {
+    let report = |text: &str| {
+        let request = MapRequest {
+            heuristic: Heuristic::Slrh1,
+            config: text.parse().expect("config parses"),
+            ..dbc_request()
+        };
+        execute_map(1, &request, &mut RunContext::new(), &mut |_| {})
+            .expect("map run")
+            .report
+    };
+    let on = report("SLRH-1; w=(0.5, 0.3); cache=on");
+    assert!(on.contains("; cache=on"), "{on}");
+    assert_eq!(report("SLRH-1; w=(0.5, 0.3); cache=off"), on);
+}
+
 #[test]
 fn dbc_report_matches_fixture_at_1_and_4_threads() {
     let record = || {
@@ -151,17 +170,38 @@ fn dbc_report_matches_fixture_at_1_and_4_threads() {
     assert_golden("dbc_report.txt", &one);
 }
 
-/// Submitting the open request to a live daemon returns byte-for-byte
+/// The golden open request with a clustered kernel block, spelled the
+/// way clients send it (legacy `frontier=on` switch included).
+fn clustered_open_request() -> OpenRequest {
+    let config = "SLRH-1; w=(0.5, 0.3); frontier=on; clusters=4"
+        .parse()
+        .expect("clustered config parses");
+    OpenRequest {
+        label: "open-clustered".into(),
+        config,
+        ..open_request()
+    }
+}
+
+/// Submitting an open request to a live daemon returns byte-for-byte
 /// the report the one-shot CLI path prints, and the daemon's job events
-/// match the local emission except for the daemon-assigned job id.
+/// match the local emission except for the daemon-assigned job id —
+/// on the default kernel and on a clustered one.
 #[test]
 fn daemon_open_submission_matches_one_shot_execution() {
+    for request in [open_request(), clustered_open_request()] {
+        daemon_open_round_trip(&request);
+    }
+}
+
+fn daemon_open_round_trip(request: &OpenRequest) {
     let local = {
         let mut ctx = RunContext::new();
-        execute_open(0, &open_request(), &mut ctx, &mut |_| {})
+        execute_open(0, request, &mut ctx, &mut |_| {})
             .expect("local run")
             .report
     };
+    assert!(local.contains("\nvalid=yes\n"), "{}: invalid schedule", request.label);
 
     let daemon = serve(&BrokerConfig {
         addr: "127.0.0.1:0".into(),
@@ -172,14 +212,14 @@ fn daemon_open_submission_matches_one_shot_execution() {
     let resp = {
         let mut conn = Connection::connect(daemon.addr()).expect("connect");
         let resp = conn
-            .submit_open(&open_request(), |e| events.push(e.clone()))
+            .submit_open(request, |e| events.push(e.clone()))
             .expect("submit");
         conn.shutdown().expect("shutdown");
         resp
     };
     daemon.join();
 
-    assert_eq!(resp.report, local, "daemon and one-shot reports diverge");
+    assert_eq!(resp.report, local, "{}: daemon and one-shot reports diverge", request.label);
     // One Event::Job per job in the trace, in scheduling order.
     let ids: Vec<u64> = events
         .iter()

@@ -168,25 +168,26 @@ impl Adaptation {
     }
 }
 
-/// Opt-in large-scale kernel mode: incremental frontier maintenance plus
-/// hierarchical machine clustering (ROADMAP item 4).
+/// Tuning block of the candidate-selection kernel: the incremental
+/// frontier, optionally with hierarchical machine clustering.
 ///
-/// With a `ScaleMode`, the clock loop keeps the ready/candidate frontier
-/// alive across ticks (maintained from the [`gridsim::state::StateDelta`]
-/// stream instead of re-scanned from the DAG), partitions the machines
-/// into `clusters` groups by ETC-column similarity, homes contiguous
-/// DAG-region task blocks onto clusters, and costs candidates only
-/// against their home cluster's machines until they *spill* — after
-/// `spill_after` ticks on the frontier a candidate becomes visible to
-/// every cluster, so nothing can be stranded by the partition.
+/// The clock loop keeps the ready/candidate frontier alive across ticks
+/// (maintained from the [`gridsim::state::StateDelta`] stream instead
+/// of re-scanned from the DAG). With `clusters > 1` it also partitions
+/// the machines into `clusters` groups by ETC-column similarity, homes
+/// contiguous DAG-region task blocks onto clusters, and costs
+/// candidates only against their home cluster's machines until they
+/// *spill* — after `spill_after` ticks on the frontier a candidate
+/// becomes visible to every cluster, so nothing can be stranded by the
+/// partition.
 ///
-/// With `clusters = 1` the partition is trivial and the frontier kernel
-/// is **schedule-identical** to the default pool-building kernel (the
-/// per-machine commit is the same argmax under the same tie-breaks); the
-/// stress harness proves this differentially on every generated case.
-/// With `clusters > 1` the schedule may differ (that is the point: each
-/// machine examines ~`|U|/clusters` candidates), which is why the whole
-/// mode is opt-in and `None` everywhere by default.
+/// The default (`clusters = 1`) is **exact**: each per-machine commit
+/// is the Figure 1 argmax under the pool walk's tie-breaks, so the
+/// schedule is identical to the from-scratch reference
+/// ([`crate::pool::build_pool`]); the stress harness proves this
+/// differentially on every generated case. With `clusters > 1` the
+/// schedule may differ (that is the point: each machine examines
+/// ~`|U|/clusters` candidates), which is why clustering is opt-in.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct ScaleMode {
     /// Number of machine clusters (>= 1; clamped to the machine count).
@@ -255,19 +256,23 @@ pub struct SlrhConfig {
     /// them is the secondary-availability ablation: the pool's
     /// feasibility gate then requires the *primary* version to fit.
     pub allow_secondary: bool,
-    /// Maintain candidate pools incrementally across clock ticks
-    /// ([`crate::pool::PoolCache`]) instead of rebuilding them from
-    /// scratch on every query. Output-identical either way; off is only
-    /// useful as a measurement baseline.
-    pub use_pool_cache: bool,
     /// Online weight adaptation. `None` (the default, and the only value
     /// [`SlrhConfig::paper`] produces) keeps the legacy fixed-weight
     /// loop byte-identical.
     pub adaptation: Option<Adaptation>,
-    /// Large-scale frontier kernel. `None` (the default, and the only
-    /// value [`SlrhConfig::paper`] produces) keeps the legacy pool-build
-    /// loop byte-identical.
-    pub scale: Option<ScaleMode>,
+    /// Candidate-kernel tuning. [`ScaleMode::default`] (the only value
+    /// [`SlrhConfig::paper`] produces) is the exact single-cluster
+    /// frontier.
+    pub scale: ScaleMode,
+    /// Select candidates with the from-scratch reference walk
+    /// ([`crate::pool::build_pool_with`] per query) instead of the
+    /// frontier, ignoring [`SlrhConfig::scale`]. Schedule-identical to
+    /// the exact frontier and much slower: it exists only as the
+    /// differential oracle for tests, the stress harness and the
+    /// kernel benchmarks, and is deliberately absent from the config
+    /// text, the wire protocol and the CLI.
+    #[doc(hidden)]
+    pub reference_walk: bool,
 }
 
 impl SlrhConfig {
@@ -281,9 +286,9 @@ impl SlrhConfig {
             dt: Dur(10),
             horizon: Dur(100),
             allow_secondary: true,
-            use_pool_cache: true,
             adaptation: None,
-            scale: None,
+            scale: ScaleMode::default(),
+            reference_walk: false,
         }
     }
 
@@ -341,13 +346,6 @@ impl SlrhConfig {
         self
     }
 
-    /// Rebuild candidate pools from scratch on every query instead of
-    /// maintaining them incrementally (measurement baseline).
-    pub fn without_pool_cache(mut self) -> SlrhConfig {
-        self.use_pool_cache = false;
-        self
-    }
-
     /// Enable online weight adaptation with the given block.
     ///
     /// # Panics
@@ -361,7 +359,7 @@ impl SlrhConfig {
         self
     }
 
-    /// Enable the large-scale frontier kernel with the given block.
+    /// Tune the candidate kernel with the given block.
     ///
     /// # Panics
     /// Panics on a malformed block; use [`SlrhConfigBuilder::scale`] for
@@ -370,16 +368,8 @@ impl SlrhConfig {
         if let Err(e) = scale.check() {
             panic!("{e}");
         }
-        self.scale = Some(scale);
+        self.scale = scale;
         self
-    }
-
-    /// Enable the *exact* frontier kernel ([`ScaleMode::default`]:
-    /// incremental maintenance, no clustering) — schedule-identical to
-    /// the default kernel, used by the differential oracles and as the
-    /// entry point for the scale benchmarks.
-    pub fn with_frontier(self) -> SlrhConfig {
-        self.with_scale(ScaleMode::default())
     }
 
     /// The run-local working copy a driver should start from: the
@@ -456,21 +446,26 @@ impl std::fmt::Display for SlrhConfig {
     /// SLRH-1; w=(α=0.5, β=0.3, γ=0.2); aet=+; trigger=clock; order=numerical; dt=10; h=100; secondary=on; cache=on
     /// ```
     ///
-    /// Every field is printed (floats shortest-round-trip), so
-    /// `config.to_string().parse::<SlrhConfig>()` reproduces the
-    /// configuration exactly — the CLI, the broker wire protocol and
-    /// fixture headers all name configurations through this one form.
+    /// Every field except the hidden `reference_walk` oracle switch is
+    /// printed (floats shortest-round-trip), so
+    /// `config.to_string().parse::<SlrhConfig>()` reproduces any
+    /// production configuration exactly — the CLI, the broker wire
+    /// protocol and fixture headers all name configurations through this
+    /// one form.
     ///
     /// The adaptation components (`adapt=`, `every=`, `amin=`, `lmax=`,
-    /// `warm=`) and the scale components (`frontier=`, `clusters=`,
-    /// `spill=`) are appended **only** when the respective block is
-    /// enabled, so the rendering of every pre-existing configuration —
-    /// and therefore every golden fixture and wire frame that embeds one
-    /// — is byte-identical to the legacy form.
+    /// `warm=`) are appended **only** when adaptation is enabled, and the
+    /// scale components (`frontier=on; clusters=`, `spill=`) only when
+    /// the kernel block differs from [`ScaleMode::default`], so the
+    /// rendering of every pre-existing configuration — and therefore
+    /// every golden fixture and wire frame that embeds one — is
+    /// byte-identical to the legacy form. `cache=on` is a constant: the
+    /// pool-cache switch it once named is gone, and the segment stays
+    /// for byte-identity.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}; w={}; aet={}; trigger={}; order={}; dt={}; h={}; secondary={}; cache={}",
+            "{}; w={}; aet={}; trigger={}; order={}; dt={}; h={}; secondary={}; cache=on",
             self.variant,
             self.objective.weights,
             match self.objective.aet_sign {
@@ -482,7 +477,6 @@ impl std::fmt::Display for SlrhConfig {
             self.dt.0,
             self.horizon.0,
             if self.allow_secondary { "on" } else { "off" },
-            if self.use_pool_cache { "on" } else { "off" },
         )?;
         if let Some(a) = &self.adaptation {
             write!(
@@ -494,7 +488,8 @@ impl std::fmt::Display for SlrhConfig {
                 write!(f, "; warm={w}")?;
             }
         }
-        if let Some(s) = &self.scale {
+        let s = &self.scale;
+        if *s != ScaleMode::default() {
             write!(
                 f,
                 "; frontier=on; clusters={}; spill={}",
@@ -521,6 +516,11 @@ impl std::str::FromStr for SlrhConfig {
     /// every other component is optional and defaults to the paper
     /// value, so `"SLRH-1; w=(0.5, 0.3)"` is a valid terse spelling.
     /// Unknown components and duplicate keys are hard errors.
+    ///
+    /// `cache=on|off` and `frontier=on|off` are legacy spellings from
+    /// when the kernel was selectable; both parse and select the one
+    /// frontier kernel. The tuning keys (`clusters=`, `spill=`, `scan=`,
+    /// `orders=`) still require `frontier=on`, the form `Display` emits.
     fn from_str(s: &str) -> Result<SlrhConfig, String> {
         let mut parts = s.split(';').map(str::trim);
         let variant: SlrhVariant = parts
@@ -572,7 +572,9 @@ impl std::str::FromStr for SlrhConfig {
                         Dur(value.parse().map_err(|e| format!("bad h {value:?}: {e}"))?)
                 }
                 "secondary" => config.allow_secondary = parse_on_off("secondary", value)?,
-                "cache" => config.use_pool_cache = parse_on_off("cache", value)?,
+                "cache" => {
+                    parse_on_off("cache", value)?;
+                }
                 "adapt" => adapt_rule = Some(value.parse()?),
                 "every" => {
                     adapt_every =
@@ -646,17 +648,14 @@ impl std::str::FromStr for SlrhConfig {
         match frontier_on {
             Some(true) => {
                 let defaults = ScaleMode::default();
-                let scale = ScaleMode {
+                config.scale = ScaleMode {
                     clusters: scale_clusters.unwrap_or(defaults.clusters),
                     spill_after: scale_spill.unwrap_or(defaults.spill_after),
                     scan_threads: scale_scan.unwrap_or(defaults.scan_threads),
                     cached_orders: scale_orders.unwrap_or(defaults.cached_orders),
                 };
-                scale.check().map_err(|e| e.to_string())?;
-                config.scale = Some(scale);
+                config.scale.check().map_err(|e| e.to_string())?;
             }
-            // `frontier=off` is accepted (and round-trips to the absent
-            // form); the satellite keys still require it to be present.
             Some(false) | None => {
                 for (key, present) in [
                     ("clusters", scale_clusters.is_some()),
@@ -766,21 +765,14 @@ impl SlrhConfigBuilder {
         self
     }
 
-    /// Maintain pools incrementally or rebuild per query (default:
-    /// incrementally; the results are identical).
-    pub fn use_pool_cache(mut self, use_cache: bool) -> SlrhConfigBuilder {
-        self.config.use_pool_cache = use_cache;
-        self
-    }
-
     /// Enable (or, with `None`, disable) online weight adaptation.
     pub fn adaptation(mut self, adaptation: Option<Adaptation>) -> SlrhConfigBuilder {
         self.config.adaptation = adaptation;
         self
     }
 
-    /// Enable (or, with `None`, disable) the large-scale frontier kernel.
-    pub fn scale(mut self, scale: Option<ScaleMode>) -> SlrhConfigBuilder {
+    /// Tune the candidate kernel (default: [`ScaleMode::default`]).
+    pub fn scale(mut self, scale: ScaleMode) -> SlrhConfigBuilder {
         self.config.scale = scale;
         self
     }
@@ -796,9 +788,7 @@ impl SlrhConfigBuilder {
         if let Some(adaptation) = &self.config.adaptation {
             adaptation.check()?;
         }
-        if let Some(scale) = &self.config.scale {
-            scale.check()?;
-        }
+        self.config.scale.check()?;
         Ok(self.config)
     }
 }
@@ -815,7 +805,8 @@ mod tests {
         assert_eq!(c.variant, SlrhVariant::V1);
         assert_eq!(c.trigger, Trigger::Clock);
         assert!(c.allow_secondary);
-        assert!(c.use_pool_cache);
+        assert_eq!(c.scale, ScaleMode::default());
+        assert!(!c.reference_walk);
     }
 
     #[test]
@@ -834,7 +825,6 @@ mod tests {
             .dt(Dur(3))
             .horizon(Dur(42))
             .allow_secondary(false)
-            .use_pool_cache(false)
             .build()
             .unwrap();
         assert_eq!(c.trigger, Trigger::MachineAvailable);
@@ -842,7 +832,6 @@ mod tests {
         assert_eq!(c.dt, Dur(3));
         assert_eq!(c.horizon, Dur(42));
         assert!(!c.allow_secondary);
-        assert!(!c.use_pool_cache);
     }
 
     #[test]
@@ -987,23 +976,23 @@ mod tests {
     #[test]
     fn scale_display_round_trips() {
         let mut c = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
-        c.scale = Some(ScaleMode {
+        c.scale = ScaleMode {
             clusters: 16,
             spill_after: 4,
             ..ScaleMode::default()
-        });
+        };
         let text = c.to_string();
         assert!(text.ends_with("; frontier=on; clusters=16; spill=4"), "{text}");
         let back: SlrhConfig = text.parse().expect("scale config parses");
         assert_eq!(back, c);
         // Non-default scan/orders knobs round-trip and stay absent at
         // their defaults (fixture byte-identity).
-        c.scale = Some(ScaleMode {
+        c.scale = ScaleMode {
             clusters: 16,
             spill_after: 4,
             scan_threads: 4,
             cached_orders: false,
-        });
+        };
         let text = c.to_string();
         assert!(
             text.ends_with("; frontier=on; clusters=16; spill=4; scan=4; orders=off"),
@@ -1023,10 +1012,17 @@ mod tests {
         let c: SlrhConfig = "SLRH-1; w=(0.5, 0.3); frontier=on"
             .parse()
             .expect("terse scale config parses");
-        assert_eq!(c.scale, Some(ScaleMode::default()));
-        // frontier=off round-trips to the absent form.
-        let off: SlrhConfig = "SLRH-1; w=(0.5, 0.3); frontier=off".parse().unwrap();
-        assert_eq!(off.scale, None);
+        assert_eq!(c.scale, ScaleMode::default());
+        // Legacy kernel switches parse and all select the one kernel:
+        // the same configuration, rendered without them.
+        let paper = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap());
+        for legacy in ["frontier=on", "frontier=off", "cache=on", "cache=off", "cache=off; frontier=on"] {
+            let text = format!("SLRH-1; w=(0.5, 0.3); {legacy}");
+            let parsed: SlrhConfig = text.parse().expect("legacy spelling parses");
+            assert_eq!(parsed, paper, "{legacy}");
+            assert_eq!(parsed.to_string(), paper.to_string(), "{legacy}");
+        }
+        assert!("SLRH-1; w=(0.5, 0.3); cache=maybe".parse::<SlrhConfig>().is_err());
     }
 
     #[test]
@@ -1050,21 +1046,17 @@ mod tests {
     fn builder_validates_scale() {
         let w = Weights::new(0.5, 0.2).unwrap();
         let bad = SlrhConfig::builder(SlrhVariant::V1, w)
-            .scale(Some(ScaleMode {
+            .scale(ScaleMode {
                 clusters: 0,
                 ..ScaleMode::default()
-            }))
+            })
             .build();
         assert_eq!(bad.unwrap_err(), ConfigError::ZeroClusters);
         let ok = SlrhConfig::builder(SlrhVariant::V1, w)
-            .scale(Some(ScaleMode::default()))
+            .scale(ScaleMode { clusters: 4, ..ScaleMode::default() })
             .build()
             .unwrap();
-        assert_eq!(ok.scale, Some(ScaleMode::default()));
-        assert_eq!(
-            SlrhConfig::paper(SlrhVariant::V1, w).with_frontier().scale,
-            Some(ScaleMode::default())
-        );
+        assert_eq!(ok.scale.clusters, 4);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Reusable per-run storage for campaign-style drivers.
 //!
 //! A single SLRH (or baseline) run allocates a [`SimState`]'s dozen-odd
-//! backing vectors plus — with the pool cache on — a `machines × tasks`
-//! slot table and planner scratch. The Figure 3 weight search executes
+//! backing vectors. The Figure 3 weight search executes
 //! *hundreds* of complete runs per scenario and the campaign thousands
 //! overall, so that per-run churn dominates the allocator. A
 //! [`RunContext`] owns all of it once: build each run's state on the
@@ -13,17 +12,14 @@
 //! # Why reuse cannot leak state between runs
 //!
 //! The context carries **capacity, never content**: every run begins by
-//! resetting each buffer from the scenario ([`SimState::new_in`],
-//! [`PoolCache::reset`]), re-deriving all values exactly as the fresh
-//! constructors do. The golden differential suite
+//! resetting each buffer from the scenario ([`SimState::new_in`]),
+//! re-deriving all values exactly as the fresh constructor does. The golden differential suite
 //! (`grid-sweep/tests/golden_run_context.rs`) pins byte-identical
 //! campaign and weight-search reports against pre-reuse references, at
 //! 1 and 4 worker threads.
 
 use adhoc_grid::workload::Scenario;
 use gridsim::state::{SimState, StateBuffers};
-
-use crate::pool::PoolCache;
 
 /// Every buffer a heuristic run needs, reusable across consecutive runs.
 ///
@@ -35,7 +31,6 @@ use crate::pool::PoolCache;
 #[derive(Default)]
 pub struct RunContext {
     buffers: StateBuffers,
-    cache: PoolCache,
 }
 
 impl RunContext {
@@ -63,16 +58,5 @@ impl RunContext {
     /// results are discarded — snapshot metrics first.
     pub fn reclaim(&mut self, state: SimState<'_>) {
         self.buffers = state.into_buffers();
-    }
-
-    /// The context's pool cache, re-synchronised to `state` for a new
-    /// run (see [`PoolCache::reset`]).
-    pub fn cache_for(
-        &mut self,
-        state: &SimState<'_>,
-        allow_secondary: bool,
-    ) -> &mut PoolCache {
-        self.cache.reset(state, allow_secondary);
-        &mut self.cache
     }
 }

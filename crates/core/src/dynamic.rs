@@ -36,8 +36,7 @@ use gridsim::state::SimState;
 
 use crate::config::SlrhConfig;
 use crate::context::RunContext;
-use crate::mapper::{drive_with, RunStats};
-use crate::pool::PoolCache;
+use crate::mapper::{drive, Kernel, RunStats};
 
 /// A machine disappearing from the grid.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -190,15 +189,8 @@ fn churn_inner<'a>(
             state.block_until(a.machine, a.at);
         }
     }
-    // One pool cache for the whole run: `drive_with` keeps it fed with
-    // commit deltas and `apply_loss_tracked` with invalidation deltas, so
-    // surviving entries carry across segments and loss events. It is
-    // synchronised *after* the arrival blocks, like the fresh-cache path
-    // always was. Frontier (scale) runs skip it: each `drive_with`
-    // segment rebuilds its frontier from the then-current ready set, and
-    // the cache would never be queried.
-    let mut cache = (config.use_pool_cache && config.scale.is_none())
-        .then(|| ctx.cache_for(&state, config.allow_secondary));
+    // Each `drive` segment builds its kernel from the then-current
+    // ready set, so the loss cascades between segments need no tracking.
     let mut stats = RunStats::default();
     let mut disruptions = Vec::new();
     let mut now = Time::ZERO;
@@ -214,7 +206,8 @@ fn churn_inner<'a>(
             Some(ref mut o) => Some(&mut **o as &mut dyn FnMut(crate::mapper::TickEvent)),
             None => None,
         };
-        now = drive_with(&mut state, &mut run, &mut stats, cache.as_deref_mut(), now, Some(ev.at), obs);
+        let mut kernel = Kernel::new(&state, &run);
+        now = drive(&mut state, &mut run, &mut kernel, &mut stats, now, Some(ev.at), obs);
         // The loss takes effect at the clock tick the driver stopped on.
         // Every event is applied, even past τ: mappings only happen at
         // clocks <= τ, but work mapped near τ can still be *executing*
@@ -222,10 +215,11 @@ fn churn_inner<'a>(
         // (`apply_loss` is a cheap no-op when everything already
         // finished before the loss).
         let effective = now.max(ev.at);
-        let n = apply_loss_tracked(&mut state, cache.as_deref_mut(), &mut stats, ev.machine, effective);
+        let n = apply_loss(&mut state, ev.machine, effective);
         disruptions.push((effective, n));
     }
-    drive_with(&mut state, &mut run, &mut stats, cache, now, None, observer);
+    let mut kernel = Kernel::new(&state, &run);
+    drive(&mut state, &mut run, &mut kernel, &mut stats, now, None, observer);
 
     DynamicOutcome {
         state,
@@ -238,24 +232,7 @@ fn churn_inner<'a>(
 /// Invalidate everything machine `j`'s disappearance at `at` disrupts and
 /// unmap it. Returns the number of invalidated subtasks.
 pub fn apply_loss(state: &mut SimState<'_>, j: MachineId, at: Time) -> usize {
-    apply_loss_tracked(state, None, &mut RunStats::default(), j, at)
-}
-
-/// [`apply_loss`] variant that keeps a [`PoolCache`] synchronised by
-/// feeding it every [`gridsim::state::StateDelta`] the loss cascade
-/// produces (the `mark_lost` plus one `unmap` per invalidated subtask),
-/// so only the entries those mutations could affect are evicted.
-pub fn apply_loss_tracked(
-    state: &mut SimState<'_>,
-    mut cache: Option<&mut PoolCache>,
-    stats: &mut RunStats,
-    j: MachineId,
-    at: Time,
-) -> usize {
-    let delta = state.mark_lost(j, at);
-    if let Some(c) = cache.as_deref_mut() {
-        c.apply(&delta, stats);
-    }
+    state.mark_lost(j, at);
     let sc = state.scenario();
     let invalid = invalidation_closure(state, sc, j, at);
 
@@ -281,9 +258,6 @@ pub fn apply_loss_tracked(
                 // documented `unmap` contract), so the ordered set absorbs
                 // it without any re-sort.
                 let delta = state.unmap(t);
-                if let Some(c) = cache.as_deref_mut() {
-                    c.apply(&delta, stats);
-                }
                 pending.remove(&t);
                 for p in delta.starved_parents {
                     // A starved parent must re-run, so everything mapped

@@ -1,8 +1,9 @@
-//! Incremental candidate-frontier maintenance for the large-scale kernel
-//! (ROADMAP item 4, opt-in via [`crate::config::ScaleMode`]).
+//! Incremental candidate-frontier maintenance: the one production
+//! candidate-selection kernel, tuned by [`crate::config::ScaleMode`].
 //!
-//! The default kernel re-derives the candidate pool `U` from the ready
-//! set on every `(machine, tick)` query: O(|U|·|M|) planning work per
+//! The reference walk ([`crate::pool::build_pool_with`]) re-derives the
+//! candidate pool `U` from the ready set on every `(machine, tick)`
+//! query: O(|U|·|M|) planning work per
 //! tick, which is fine at the paper's 4–16 machines and fatal at 1000.
 //! The frontier attacks that product on three fronts:
 //!
@@ -11,8 +12,7 @@
 //!    every [`SimState`] mutation already emits (a commit removes one
 //!    task and inserts its newly-ready children; a worklist, never a
 //!    rescan). If a delta goes missing the frontier notices the revision
-//!    gap and lazily rebuilds from [`SimState::ready_tasks`], exactly
-//!    like [`crate::pool::PoolCache`] resynchronises.
+//!    gap and lazily rebuilds from [`SimState::ready_tasks`].
 //! 2. **Hierarchical machine clustering** — machines are partitioned
 //!    into `clusters` groups by ETC-column similarity (mean column
 //!    seconds, ties toward the lower id), and contiguous task-id blocks
@@ -57,16 +57,16 @@
 //! # Exactness at `clusters = 1`
 //!
 //! With a single cluster every machine sees the whole frontier, and each
-//! query selects the same candidate the default kernel's
-//! [`crate::pool::Pool::first_startable`] walk selects: the pool sorts
+//! query selects the same candidate the reference walk's
+//! [`crate::pool::Pool::first_startable`] selects: the pool sorts
 //! by (objective desc, task asc) and takes the first entry able to start
 //! within the horizon, which is precisely an argmax over startable
 //! candidates under that ordering — the comparison in
 //! [`Frontier::best_startable`] replays the same tie-breaks, the plans
 //! come from the same [`SimState::plan_with`], and the version choice
 //! replays [`crate::pool::build_pool_with`]'s primary-competes rule. The
-//! stress harness (`frontier` differential arm) proves schedule
-//! identity on every generated case; `clusters > 1` intentionally
+//! stress harness (`differential-frontier` arms, closed, churn and open)
+//! proves schedule identity on every generated case; `clusters > 1` intentionally
 //! trades that identity for the ÷k candidate count.
 
 use std::cmp::Reverse;
@@ -89,7 +89,7 @@ const ABSENT: u32 = u32::MAX;
 
 /// Cap on the per-(task, machine) start-floor cache, in entries. At the
 /// 65k × 256 design point the cache is 128 MiB of `Time` — acceptable
-/// for an opt-in scale run; past the cap the cache is disabled (every
+/// for a run of that size; past the cap the cache is disabled (every
 /// probe recomputes, bit-identical results, no memory cliff).
 const FLOOR_CACHE_MAX: usize = 1 << 25;
 
@@ -2371,6 +2371,121 @@ mod tests {
         // Every cluster is non-empty under the clamped partition.
         for c in 0..a.clusters() {
             assert!(a.cluster_of.iter().any(|&x| x as usize == c));
+        }
+    }
+
+    /// Children-first unmap of `root` plus everything the ledger
+    /// cascade drags along, feeding every delta to the frontier.
+    fn unmap_cascade(state: &mut SimState<'_>, fr: &mut Frontier, root: TaskId) {
+        let sc = state.scenario();
+        let mut pending = std::collections::BTreeSet::from([root]);
+        while let Some(&t) = pending
+            .iter()
+            .find(|&&t| sc.dag.children(t).iter().all(|&c| !state.is_mapped(c)))
+        {
+            pending.remove(&t);
+            if !state.is_mapped(t) {
+                continue;
+            }
+            let delta = state.unmap(t);
+            fr.apply(&delta);
+            for p in delta.starved_parents {
+                let mut stack = vec![p];
+                while let Some(x) = stack.pop() {
+                    if state.is_mapped(x) && pending.insert(x) {
+                        stack.extend(sc.dag.children(x).iter().copied());
+                    }
+                }
+            }
+        }
+        assert!(pending.is_empty(), "unmap cascade failed to make progress");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The exact frontier's selection equals the reference pool
+        /// walk's `first_startable` on every machine at every step,
+        /// through arbitrary sequences of commits, cascading unmaps
+        /// (deltas fed in), machine-loss cascades (deltas withheld, so
+        /// the frontier must notice the gap) and idle clock advances.
+        #[test]
+        fn frontier_equals_reference_under_arbitrary_mutations(
+            alpha in 0.0f64..1.0,
+            beta_frac in 0.0f64..1.0,
+            case_idx in 0usize..3,
+            dag_id in 0usize..3,
+            allow_secondary in proptest::prelude::any::<bool>(),
+            horizon in 1u64..2_000,
+            ops in proptest::collection::vec((0u8..4, 0usize..16, 1u64..40), 1..20),
+        ) {
+            let sc = Scenario::generate(
+                &ScenarioParams::paper_scaled(24),
+                GridCase::ALL[case_idx],
+                0,
+                dag_id,
+            );
+            let obj = Objective::paper(
+                Weights::new(alpha, (1.0 - alpha) * beta_frac).expect("on simplex"),
+            );
+            let mut state = SimState::new(&sc);
+            let mut fr = Frontier::new(&state, ScaleMode::default());
+            let mut stats = RunStats::default();
+            let mut now = Time::ZERO;
+            let m = sc.grid.len();
+
+            for (tick, (op, pick, dt)) in ops.into_iter().enumerate() {
+                fr.begin_tick(&state, tick as u64);
+                let horizon_end = now.saturating_add(adhoc_grid::units::Dur(horizon));
+                let mut picks = Vec::new();
+                for j in (0..m).map(MachineId) {
+                    let reference =
+                        crate::pool::build_pool_with(&state, &obj, j, now, allow_secondary);
+                    let got = fr.best_startable(
+                        &state, &obj, j, now, horizon_end, allow_secondary, &mut stats,
+                    );
+                    proptest::prop_assert_eq!(
+                        got.as_ref(),
+                        reference.first_startable(horizon_end).map(|e| &e.plan),
+                        "machine {} at {:?}", j, now
+                    );
+                    picks.push(got);
+                }
+                match op {
+                    // Commit one machine's selection.
+                    0 => {
+                        if let Some(plan) = picks[pick % m].take() {
+                            let delta = state.commit(&plan);
+                            fr.apply(&delta);
+                        }
+                    }
+                    // Unmap a leaf-most mapped task (full ledger cascade).
+                    1 => {
+                        let leaves: Vec<TaskId> = (0..sc.tasks())
+                            .map(TaskId)
+                            .filter(|&t| {
+                                state.is_mapped(t)
+                                    && sc.dag.children(t).iter().all(|&c| !state.is_mapped(c))
+                            })
+                            .collect();
+                        if !leaves.is_empty() {
+                            unmap_cascade(&mut state, &mut fr, leaves[pick % leaves.len()]);
+                        }
+                    }
+                    // Lose a machine behind the frontier's back.
+                    2 => {
+                        let alive: Vec<MachineId> =
+                            (0..m).map(MachineId).filter(|&j| state.is_alive(j)).collect();
+                        if alive.len() > 1 {
+                            crate::dynamic::apply_loss(&mut state, alive[pick % alive.len()], now);
+                        }
+                    }
+                    // Idle: just let the clock advance.
+                    _ => {}
+                }
+                now += adhoc_grid::units::Dur(dt);
+            }
+            proptest::prop_assert!(state.ledger().check_invariants().is_ok());
         }
     }
 }

@@ -14,16 +14,18 @@
 //! * [`pool`] — the candidate pool `U`: ready subtasks that pass the
 //!   conservative energy feasibility test, each with its
 //!   objective-maximizing version. [`pool::build_pool`] is the
-//!   from-scratch reference; [`pool::PoolCache`] maintains the same
-//!   pools incrementally from the simulator's
-//!   [`gridsim::state::StateDelta`] stream;
+//!   from-scratch definition and the reference oracle; production runs
+//!   select from an incremental frontier (tuned by [`ScaleMode`]) that
+//!   commits exactly what a walk of this pool commits;
 //! * [`mapper`] — the Figure 1 clock loop and the three variants
-//!   SLRH-1 / SLRH-2 / SLRH-3;
+//!   SLRH-1 / SLRH-2 / SLRH-3, on the frontier kernel;
 //! * [`adaptive`] — the paper's stated future work (§VIII): on-the-fly
 //!   adjustment of the weights, implemented as projected dual ascent on
 //!   the energy/time constraint violations;
 //! * [`dynamic`] — ad hoc machine loss *during* a run: invalidation of
-//!   disrupted work and on-the-fly remapping onto the surviving grid.
+//!   disrupted work and on-the-fly remapping onto the surviving grid;
+//! * [`open`] — open-system scheduling: a stream of deadline/budget jobs
+//!   on one shared, churning grid.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,4 +46,4 @@ pub use context::RunContext;
 pub use dynamic::{run_slrh_churn, run_slrh_churn_in, run_slrh_churn_observed, run_slrh_dynamic, DynamicOutcome, MachineArrivalEvent, MachineLossEvent};
 pub use mapper::{run_slrh, run_slrh_in, run_slrh_observed, RunStats, SlrhOutcome, TickEvent};
 pub use open::{run_open, run_open_in, JobHook, OpenJobReport, OpenMetrics, OpenOutcome};
-pub use pool::{build_pool, build_pool_with, Pool, PoolCache, PoolEntry};
+pub use pool::{build_pool, build_pool_with, Pool, PoolEntry};

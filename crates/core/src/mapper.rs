@@ -3,11 +3,16 @@
 //! The heuristic is clock-driven: it runs at fixed intervals of ΔT ticks
 //! rather than whenever a machine frees up. At each invocation it walks
 //! the machines in numerical order; for every machine that is *available*
-//! (no computation scheduled at or beyond the current clock) it builds the
-//! candidate pool, walks it in decreasing objective order, and commits the
-//! first candidate able to start within the horizon `H`. The variants
-//! differ only in how many pairs a machine may receive per invocation —
-//! see [`crate::config::SlrhVariant`].
+//! (no computation scheduled at or beyond the current clock) it selects,
+//! among the candidate pool, the highest-objective candidate able to
+//! start within the horizon `H` and commits it. The variants differ only
+//! in how many pairs a machine may receive per invocation — see
+//! [`crate::config::SlrhVariant`].
+//!
+//! Candidates come from one kernel, the incremental frontier. The
+//! from-scratch pool walk ([`crate::pool::build_pool_with`] per query)
+//! survives only as the differential reference, behind the hidden
+//! [`SlrhConfig::reference_walk`] switch.
 //!
 //! The loop ends when every subtask is mapped, when the clock passes the
 //! deadline τ, or — a pure optimization, unreachable in the paper's
@@ -15,18 +20,19 @@
 //! (all machines already available, every pool empty: the pools depend
 //! only on energy and precedence state, which only mappings can change).
 
-use adhoc_grid::units::{Dur, Time};
+use adhoc_grid::config::MachineId;
+use adhoc_grid::task::{TaskId, Version};
+use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
 use gridsim::metrics::Metrics;
+use gridsim::plan::{MappingPlan, Placement};
 use gridsim::state::SimState;
 use lagrange::weights::Weights;
 
 use crate::config::{SlrhConfig, SlrhVariant, Trigger};
-use adhoc_grid::config::MachineId;
-use adhoc_grid::task::Version;
 use crate::context::RunContext;
 use crate::frontier::Frontier;
-use crate::pool::{build_pool_with, Pool, PoolCache};
+use crate::pool::build_pool_with;
 
 /// Counters describing one run's work (the paper's "heuristic execution
 /// time" proxy that is independent of the host machine).
@@ -34,21 +40,20 @@ use crate::pool::{build_pool_with, Pool, PoolCache};
 pub struct RunStats {
     /// Clock-loop iterations executed.
     pub clock_steps: u64,
-    /// Candidate pools built (or served from the pool cache).
+    /// Kernel queries: candidate selections and SLRH-2 walk orders,
+    /// plus one per machine probed by the loop's stuck check.
     pub pool_builds: u64,
     /// Candidate (task, version) pairs *planned* and evaluated against
-    /// the objective. With the pool cache on, only freshly-planned
-    /// candidates count here; reused ones count as
-    /// [`RunStats::pool_cache_hits`].
+    /// the objective. The frontier prunes candidates that provably
+    /// cannot start within the horizon before planning them, so this is
+    /// far below the reference walk's count on the same schedule.
     pub candidates_evaluated: u64,
     /// Mappings committed.
     pub commits: u64,
-    /// Pool entries served from the incremental cache instead of being
-    /// replanned (zero when the cache is disabled).
+    /// Always 0. Counted pool entries served from the incremental pool
+    /// cache, which the frontier kernel replaced; kept so existing
+    /// readers of the counter keep compiling.
     pub pool_cache_hits: u64,
-    /// Cached pool entries dropped because a state mutation could have
-    /// affected them (zero when the cache is disabled).
-    pub pool_cache_invalidations: u64,
     /// Online weight-adaptation steps that actually changed the weights
     /// (zero whenever [`crate::config::SlrhConfig::adaptation`] is off
     /// — and also when every step was a fixed point).
@@ -101,15 +106,7 @@ impl gridsim::MappingOutcome for SlrhOutcome<'_> {
 /// assert!(m.t100 <= m.mapped);
 /// ```
 pub fn run_slrh<'a>(scenario: &'a Scenario, config: &SlrhConfig) -> SlrhOutcome<'a> {
-    let mut state = SimState::new(scenario);
-    let mut stats = RunStats::default();
-    let mut run = config.armed();
-    drive(&mut state, &mut run, &mut stats, Time::ZERO, None, None);
-    SlrhOutcome {
-        state,
-        stats,
-        final_weights: run.objective.weights,
-    }
+    run_on(SimState::new(scenario), config, None)
 }
 
 /// One executed clock tick, as observed by [`run_slrh_observed`].
@@ -137,49 +134,30 @@ pub fn run_slrh_observed<'a>(
     ctx: &mut RunContext,
     observer: &mut dyn FnMut(TickEvent),
 ) -> SlrhOutcome<'a> {
-    let mut state = ctx.state(scenario);
-    let mut stats = RunStats::default();
-    let mut run = config.armed();
-    if run.use_pool_cache && run.scale.is_none() {
-        let cache = ctx.cache_for(&state, run.allow_secondary);
-        drive_with(
-            &mut state,
-            &mut run,
-            &mut stats,
-            Some(cache),
-            Time::ZERO,
-            None,
-            Some(observer),
-        );
-    } else {
-        drive_with(&mut state, &mut run, &mut stats, None, Time::ZERO, None, Some(observer));
-    }
-    SlrhOutcome {
-        state,
-        stats,
-        final_weights: run.objective.weights,
-    }
+    run_on(ctx.state(scenario), config, Some(observer))
 }
 
-/// [`run_slrh`] on a reusable [`RunContext`]: the state and (when
-/// configured) the pool cache are built on the context's recycled
-/// buffers instead of fresh allocations. Results are bit-identical to
-/// [`run_slrh`]. Reclaim the outcome's state with
+/// [`run_slrh`] on a reusable [`RunContext`]: the state is built on the
+/// context's recycled buffers instead of fresh allocations. Results are
+/// bit-identical to [`run_slrh`]. Reclaim the outcome's state with
 /// [`RunContext::reclaim`] to keep the buffers cycling.
 pub fn run_slrh_in<'a>(
     scenario: &'a Scenario,
     config: &SlrhConfig,
     ctx: &mut RunContext,
 ) -> SlrhOutcome<'a> {
-    let mut state = ctx.state(scenario);
+    run_on(ctx.state(scenario), config, None)
+}
+
+fn run_on<'a>(
+    mut state: SimState<'a>,
+    config: &SlrhConfig,
+    observer: Option<&mut dyn FnMut(TickEvent)>,
+) -> SlrhOutcome<'a> {
     let mut stats = RunStats::default();
     let mut run = config.armed();
-    if run.use_pool_cache && run.scale.is_none() {
-        let cache = ctx.cache_for(&state, run.allow_secondary);
-        drive_with(&mut state, &mut run, &mut stats, Some(cache), Time::ZERO, None, None);
-    } else {
-        drive_with(&mut state, &mut run, &mut stats, None, Time::ZERO, None, None);
-    }
+    let mut kernel = Kernel::new(&state, &run);
+    drive(&mut state, &mut run, &mut kernel, &mut stats, Time::ZERO, None, observer);
     SlrhOutcome {
         state,
         stats,
@@ -187,29 +165,10 @@ pub fn run_slrh_in<'a>(
     }
 }
 
-/// [`drive_with`] behind a freshly-created pool cache (when the config
-/// asks for one). Single-segment runs use this; multi-segment drivers
-/// (adaptive, dynamic) create the cache once and call [`drive_with`] per
-/// segment so it survives across segments.
-pub(crate) fn drive(
-    state: &mut SimState<'_>,
-    config: &mut SlrhConfig,
-    stats: &mut RunStats,
-    start_clock: Time,
-    stop_at: Option<Time>,
-    observer: Option<&mut dyn FnMut(TickEvent)>,
-) -> Time {
-    // The frontier kernel never queries the pool cache, so a scale run
-    // skips building the |M| × |T| slot table entirely.
-    let mut cache = (config.use_pool_cache && config.scale.is_none())
-        .then(|| PoolCache::new(state, config.allow_secondary));
-    drive_with(state, config, stats, cache.as_mut(), start_clock, stop_at, observer)
-}
-
 /// Advance the SLRH clock loop on an existing state from `start_clock`
 /// until completion, τ, or `stop_at` (exclusive). Returns the clock value
 /// at which the loop stopped. This is the building block shared by the
-/// plain, adaptive and dynamic drivers.
+/// plain, adaptive, dynamic and open drivers.
 ///
 /// The configuration is mutable because online adaptation (when the
 /// config carries an [`crate::config::Adaptation`] block) rewrites the
@@ -219,31 +178,22 @@ pub(crate) fn drive(
 /// `stats.clock_steps`, which is monotone across the segments of a
 /// multi-segment (churn) run.
 ///
-/// With a `cache`, every pool query goes through it and every commit's
-/// [`gridsim::state::StateDelta`] is fed back into it; the resulting
-/// schedule is identical to the uncached one by the cache's invariant.
-/// Weight updates evict nothing: cached entries store *plans*, and
-/// objective values are recomputed against the live weights per query.
-///
-/// With [`SlrhConfig::scale`] set, the loop runs the incremental
-/// [`Frontier`] kernel instead: a frontier is built here (one O(|ready|)
-/// pass — multi-segment drivers re-enter per segment, and each segment
-/// rebuilds from the then-current ready set), maintained from the delta
-/// stream within the segment, and the passed-in `cache` is ignored
-/// (callers skip creating one). In frontier mode
-/// [`RunStats::pool_builds`] counts frontier queries and
-/// [`RunStats::candidates_evaluated`] counts planned candidates; the
-/// cache counters stay zero.
-pub(crate) fn drive_with(
+/// The `kernel` is maintained from the commit delta stream. A driver
+/// that mutates the state between segments (loss cascades) builds a
+/// fresh [`Kernel`] from the then-current ready set for the next
+/// segment; one that only pauses (the adaptive trace sampler) keeps
+/// driving the same kernel, so the segmented run is identical to the
+/// uninterrupted one down to its [`RunStats`].
+pub(crate) fn drive(
     state: &mut SimState<'_>,
     config: &mut SlrhConfig,
+    kernel: &mut Kernel,
     stats: &mut RunStats,
-    mut cache: Option<&mut PoolCache>,
     start_clock: Time,
     stop_at: Option<Time>,
     mut observer: Option<&mut dyn FnMut(TickEvent)>,
 ) -> Time {
-    let mut frontier = config.scale.map(|mode| Frontier::new(state, mode));
+    let mut order = Vec::new();
     let tau = state.scenario().tau;
     let mut now = start_clock;
     loop {
@@ -284,13 +234,11 @@ pub(crate) fn drive_with(
         let mut any_commit = false;
         let mut every_live_machine_available = true;
 
-        if let Some(fr) = frontier.as_mut() {
-            fr.begin_tick(state, tick);
-        }
-        let order = config
+        kernel.begin_tick(state, tick);
+        let machines = config
             .machine_order
             .order(state.scenario().grid.len(), tick);
-        for j in order.into_iter().map(MachineId) {
+        for j in machines.into_iter().map(MachineId) {
             if state.all_mapped() {
                 break;
             }
@@ -301,11 +249,7 @@ pub(crate) fn drive_with(
                 every_live_machine_available = false;
                 continue;
             }
-            let committed = match frontier.as_mut() {
-                Some(fr) => map_on_machine_frontier(state, config, stats, fr, j, now),
-                None => map_on_machine(state, config, stats, cache.as_deref_mut(), j, now),
-            };
-            if committed > 0 {
+            if map_on_machine(state, config, stats, kernel, &mut order, j, now) > 0 {
                 any_commit = true;
             }
         }
@@ -327,44 +271,12 @@ pub(crate) fn drive_with(
         // invocation can make progress. (A non-empty pool here means a
         // horizon miss, which the advancing clock *can* resolve.)
         if !any_commit && every_live_machine_available && !state.all_mapped() {
-            let mut stuck = true;
-            match frontier.as_mut() {
-                Some(fr) => {
-                    // Gate-only probe, no planning — and across the
-                    // *whole* frontier, not just the lists visible to
-                    // each machine: a candidate homed on another cluster
-                    // spills within `spill_after` ticks, so it still
-                    // disproves being stuck.
-                    let gate_version = if config.allow_secondary {
-                        Version::Secondary
-                    } else {
-                        Version::Primary
-                    };
-                    for j in state.scenario().grid.ids() {
-                        if !state.is_alive(j) {
-                            continue;
-                        }
-                        stats.pool_builds += 1;
-                        if fr.any_gate_feasible(state, gate_version, j) {
-                            stuck = false;
-                            break;
-                        }
-                    }
-                }
-                None => {
-                    for j in state.scenario().grid.ids() {
-                        if !state.is_alive(j) {
-                            continue;
-                        }
-                        let pool =
-                            build_and_count(state, config, stats, cache.as_deref_mut(), j, now);
-                        if !pool.is_empty() {
-                            stuck = false;
-                            break;
-                        }
-                    }
-                }
-            }
+            let stuck = !state
+                .scenario()
+                .grid
+                .ids()
+                .filter(|&j| state.is_alive(j))
+                .any(|j| kernel.any_candidate(state, config, stats, j, now));
             if stuck {
                 return now;
             }
@@ -390,24 +302,157 @@ pub(crate) fn drive_with(
     }
 }
 
+/// The candidate-selection kernel [`drive`] runs on.
+pub(crate) enum Kernel {
+    /// The production kernel. With a single cluster each selection is
+    /// identical to the reference walk's (see [`Frontier`]); with more
+    /// clusters only the visible slice shrinks.
+    Frontier(Box<Frontier>),
+    /// The from-scratch pool walk ([`SlrhConfig::reference_walk`]).
+    Reference,
+}
+
+impl Kernel {
+    /// The kernel `config` selects, built from `state`'s ready set.
+    pub(crate) fn new(state: &SimState<'_>, config: &SlrhConfig) -> Kernel {
+        if config.reference_walk {
+            Kernel::Reference
+        } else {
+            Kernel::Frontier(Box::new(Frontier::new(state, config.scale)))
+        }
+    }
+
+    fn begin_tick(&mut self, state: &SimState<'_>, tick: u64) {
+        if let Kernel::Frontier(fr) = self {
+            fr.begin_tick(state, tick);
+        }
+    }
+
+    /// The Figure 1 selection for machine `j`: the highest-objective
+    /// pool candidate (ties toward the lower task id) whose plan starts
+    /// by `horizon_end`.
+    fn best_startable(
+        &mut self,
+        state: &SimState<'_>,
+        config: &SlrhConfig,
+        stats: &mut RunStats,
+        j: MachineId,
+        now: Time,
+    ) -> Option<MappingPlan> {
+        let horizon_end = now.saturating_add(config.horizon);
+        match self {
+            Kernel::Frontier(fr) => fr.best_startable(
+                state,
+                &config.objective,
+                j,
+                now,
+                horizon_end,
+                config.allow_secondary,
+                stats,
+            ),
+            Kernel::Reference => {
+                let pool = reference_pool(state, config, stats, j, now);
+                pool.first_startable(horizon_end).map(|e| e.plan.clone())
+            }
+        }
+    }
+
+    /// The SLRH-2 walk order for machine `j`: `(objective, task,
+    /// version)` by objective descending, ties toward the lower task id.
+    fn frozen_order(
+        &mut self,
+        state: &SimState<'_>,
+        config: &SlrhConfig,
+        stats: &mut RunStats,
+        j: MachineId,
+        now: Time,
+        out: &mut Vec<(f64, TaskId, Version)>,
+    ) {
+        match self {
+            Kernel::Frontier(fr) => fr.frozen_order(
+                state,
+                &config.objective,
+                j,
+                now,
+                now.saturating_add(config.horizon),
+                config.allow_secondary,
+                stats,
+                out,
+            ),
+            Kernel::Reference => {
+                let pool = reference_pool(state, config, stats, j, now);
+                out.clear();
+                out.extend(pool.iter().map(|e| (e.objective, e.task, e.version)));
+            }
+        }
+    }
+
+    /// Commit a plan and keep the kernel in step with the mutation.
+    fn commit(&mut self, state: &mut SimState<'_>, stats: &mut RunStats, plan: &MappingPlan) {
+        let delta = state.commit(plan);
+        if let Kernel::Frontier(fr) = self {
+            fr.apply(&delta);
+        }
+        stats.commits += 1;
+    }
+
+    /// Whether machine `j` has any candidate passing the §IV gate —
+    /// the stuck check's probe. The frontier looks across *every*
+    /// list, not just the ones visible to `j`: a candidate homed on
+    /// another cluster spills within `spill_after` ticks, so it still
+    /// disproves being stuck.
+    fn any_candidate(
+        &mut self,
+        state: &SimState<'_>,
+        config: &SlrhConfig,
+        stats: &mut RunStats,
+        j: MachineId,
+        now: Time,
+    ) -> bool {
+        match self {
+            Kernel::Frontier(fr) => {
+                stats.pool_builds += 1;
+                let gate_version = if config.allow_secondary {
+                    Version::Secondary
+                } else {
+                    Version::Primary
+                };
+                fr.any_gate_feasible(state, gate_version, j)
+            }
+            Kernel::Reference => !reference_pool(state, config, stats, j, now).is_empty(),
+        }
+    }
+}
+
+fn reference_pool(
+    state: &SimState<'_>,
+    config: &SlrhConfig,
+    stats: &mut RunStats,
+    j: MachineId,
+    now: Time,
+) -> crate::pool::Pool {
+    let pool = build_pool_with(state, &config.objective, j, now, config.allow_secondary);
+    stats.pool_builds += 1;
+    stats.candidates_evaluated += pool.len() as u64;
+    pool
+}
+
 /// Map candidates onto one available machine at the current clock,
 /// following the variant's repetition rule. Returns the number of commits.
 fn map_on_machine(
     state: &mut SimState<'_>,
     config: &SlrhConfig,
     stats: &mut RunStats,
-    mut cache: Option<&mut PoolCache>,
+    kernel: &mut Kernel,
+    order: &mut Vec<(f64, TaskId, Version)>,
     j: MachineId,
     now: Time,
 ) -> u64 {
-    let horizon_end = now.saturating_add(config.horizon);
     let mut commits = 0u64;
-
     match config.variant {
         SlrhVariant::V1 => {
-            let pool = build_and_count(state, config, stats, cache.as_deref_mut(), j, now);
-            if let Some(e) = pool.first_startable(horizon_end) {
-                commit_tracked(state, stats, cache, &e.plan);
+            if let Some(plan) = kernel.best_startable(state, config, stats, j, now) {
+                kernel.commit(state, stats, &plan);
                 commits += 1;
             }
         }
@@ -416,169 +461,29 @@ fn map_on_machine(
             // per entry because earlier commits shift the machine's
             // availability, but membership, version choice and ordering
             // are frozen — the defining simplification of SLRH-2.
-            let pool = build_and_count(state, config, stats, cache.as_deref_mut(), j, now);
-            for e in &pool {
-                if state.is_mapped(e.task) {
+            let horizon_end = now.saturating_add(config.horizon);
+            kernel.frozen_order(state, config, stats, j, now, order);
+            for &(_, t, v) in order.iter() {
+                if state.is_mapped(t) || !state.version_feasible(t, v, j) {
                     continue;
                 }
-                if !state.version_feasible(e.task, e.version, j) {
-                    continue;
-                }
-                let plan = state.plan(
-                    e.task,
-                    e.version,
-                    j,
-                    gridsim::plan::Placement::Append { not_before: now },
-                );
+                let plan = state.plan(t, v, j, Placement::Append { not_before: now });
                 if plan.start <= horizon_end {
-                    commit_tracked(state, stats, cache.as_deref_mut(), &plan);
+                    kernel.commit(state, stats, &plan);
                     commits += 1;
                 }
             }
         }
         SlrhVariant::V3 => {
-            // Recreate and re-evaluate the pool after every assignment,
-            // admitting newly-ready children immediately.
-            loop {
-                let pool = build_and_count(state, config, stats, cache.as_deref_mut(), j, now);
-                let Some(e) = pool.first_startable(horizon_end) else {
-                    break;
-                };
-                commit_tracked(state, stats, cache.as_deref_mut(), &e.plan);
+            // Re-select after every assignment, admitting newly-ready
+            // children immediately.
+            while let Some(plan) = kernel.best_startable(state, config, stats, j, now) {
+                kernel.commit(state, stats, &plan);
                 commits += 1;
             }
         }
     }
     commits
-}
-
-/// [`map_on_machine`] for the frontier kernel: same variant semantics,
-/// but candidates come from the machine's visible frontier slice and
-/// every commit's delta maintains the frontier in place. With a single
-/// cluster each commit decision is identical to the pool walk's (see
-/// [`Frontier`]); with more clusters only the visible slice shrinks.
-fn map_on_machine_frontier(
-    state: &mut SimState<'_>,
-    config: &SlrhConfig,
-    stats: &mut RunStats,
-    frontier: &mut Frontier,
-    j: MachineId,
-    now: Time,
-) -> u64 {
-    let horizon_end = now.saturating_add(config.horizon);
-    let mut commits = 0u64;
-
-    match config.variant {
-        SlrhVariant::V1 => {
-            if let Some(plan) = frontier.best_startable(
-                state,
-                &config.objective,
-                j,
-                now,
-                horizon_end,
-                config.allow_secondary,
-                stats,
-            ) {
-                commit_frontier(state, stats, frontier, &plan);
-                commits += 1;
-            }
-        }
-        SlrhVariant::V2 => {
-            // Same frozen-pool semantics as the default V2 walk:
-            // membership, version choice and ordering fixed up front,
-            // plans re-made per entry as earlier commits shift the
-            // machine's availability.
-            let mut order = Vec::new();
-            frontier.frozen_order(
-                state,
-                &config.objective,
-                j,
-                now,
-                horizon_end,
-                config.allow_secondary,
-                stats,
-                &mut order,
-            );
-            for &(_, t, v) in &order {
-                if state.is_mapped(t) {
-                    continue;
-                }
-                if !state.version_feasible(t, v, j) {
-                    continue;
-                }
-                let plan = state.plan(
-                    t,
-                    v,
-                    j,
-                    gridsim::plan::Placement::Append { not_before: now },
-                );
-                if plan.start <= horizon_end {
-                    commit_frontier(state, stats, frontier, &plan);
-                    commits += 1;
-                }
-            }
-        }
-        SlrhVariant::V3 => {
-            while let Some(plan) = frontier.best_startable(
-                state,
-                &config.objective,
-                j,
-                now,
-                horizon_end,
-                config.allow_secondary,
-                stats,
-            ) {
-                commit_frontier(state, stats, frontier, &plan);
-                commits += 1;
-            }
-        }
-    }
-    commits
-}
-
-/// Commit a plan and feed the resulting delta into the frontier.
-fn commit_frontier(
-    state: &mut SimState<'_>,
-    stats: &mut RunStats,
-    frontier: &mut Frontier,
-    plan: &gridsim::plan::MappingPlan,
-) {
-    let delta = state.commit(plan);
-    frontier.apply(&delta);
-    stats.commits += 1;
-}
-
-/// Commit a plan and feed the resulting delta into the pool cache.
-fn commit_tracked(
-    state: &mut SimState<'_>,
-    stats: &mut RunStats,
-    cache: Option<&mut PoolCache>,
-    plan: &gridsim::plan::MappingPlan,
-) {
-    let delta = state.commit(plan);
-    if let Some(c) = cache {
-        c.apply(&delta, stats);
-    }
-    stats.commits += 1;
-}
-
-fn build_and_count(
-    state: &SimState<'_>,
-    config: &SlrhConfig,
-    stats: &mut RunStats,
-    cache: Option<&mut PoolCache>,
-    j: MachineId,
-    now: Time,
-) -> Pool {
-    match cache {
-        Some(c) => c.pool(state, &config.objective, j, now, stats),
-        None => {
-            let pool = build_pool_with(state, &config.objective, j, now, config.allow_secondary);
-            stats.pool_builds += 1;
-            stats.candidates_evaluated += pool.len() as u64;
-            pool
-        }
-    }
 }
 
 /// Predicted constraint violations from a mid-run snapshot: the energy
@@ -598,16 +503,11 @@ pub(crate) fn predicted_violations(state: &SimState<'_>, now: Time) -> [f64; 2] 
     [e_pred - 1.0, t_pred - 1.0]
 }
 
-/// Convenience: ΔT expressed in ticks for a given number of clock cycles
-/// (1 cycle = 1 tick = 0.1 s).
-pub fn cycles(n: u64) -> Dur {
-    Dur(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adhoc_grid::config::GridCase;
+    use adhoc_grid::units::Dur;
     use adhoc_grid::workload::{Scenario, ScenarioParams};
     use gridsim::validate::validate;
     use lagrange::weights::Weights;
@@ -696,31 +596,6 @@ mod tests {
         let out = run_slrh(&sc, &config(SlrhVariant::V1));
         // V1 commits at most |M| pairs per clock step.
         assert!(out.stats.commits <= out.stats.clock_steps * sc.grid.len() as u64);
-    }
-
-    #[test]
-    fn pool_cache_is_output_invariant() {
-        // The incremental cache must be invisible in the results: same
-        // schedule, same loop trajectory, strictly less planning work.
-        let sc = scenario(64);
-        for variant in SlrhVariant::ALL {
-            let cfg = config(variant);
-            let cached = run_slrh(&sc, &cfg);
-            let scratch = run_slrh(&sc, &cfg.without_pool_cache());
-            assert_eq!(cached.metrics(), scratch.metrics(), "{variant}");
-            assert_eq!(cached.stats.commits, scratch.stats.commits, "{variant}");
-            assert_eq!(cached.stats.clock_steps, scratch.stats.clock_steps, "{variant}");
-            assert_eq!(cached.stats.pool_builds, scratch.stats.pool_builds, "{variant}");
-            // Every candidate the scratch path plans is either planned or
-            // served from cache on the cached path — never dropped.
-            assert_eq!(
-                cached.stats.candidates_evaluated + cached.stats.pool_cache_hits,
-                scratch.stats.candidates_evaluated,
-                "{variant}"
-            );
-            assert_eq!(scratch.stats.pool_cache_hits, 0);
-            assert!(cached.stats.pool_cache_hits > 0, "{variant}");
-        }
     }
 
     #[test]

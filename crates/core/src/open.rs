@@ -49,8 +49,8 @@ use gridsim::state::SimState;
 
 use crate::config::SlrhConfig;
 use crate::context::RunContext;
-use crate::dynamic::{apply_loss_tracked, MachineArrivalEvent, MachineLossEvent};
-use crate::mapper::{drive_with, RunStats};
+use crate::dynamic::{apply_loss, MachineArrivalEvent, MachineLossEvent};
+use crate::mapper::{drive, Kernel, RunStats};
 
 /// Slack applied to budget comparisons (float sums of priced seconds).
 pub const COST_EPS: f64 = 1e-9;
@@ -164,7 +164,6 @@ fn add_stats(total: &mut RunStats, part: &RunStats) {
     total.candidates_evaluated += part.candidates_evaluated;
     total.commits += part.commits;
     total.pool_cache_hits += part.pool_cache_hits;
-    total.pool_cache_invalidations += part.pool_cache_invalidations;
     total.weight_updates += part.weight_updates;
 }
 
@@ -181,10 +180,8 @@ pub type JobHook<'a> = &'a mut dyn FnMut(&SimState<'_>, &OpenJobReport);
 /// hook.
 ///
 /// # Panics
-/// Panics on duplicate job ids, on churn traces the churn API rejects,
-/// and on a config carrying a [`crate::config::ScaleMode`] (the open
-/// mode schedules many small jobs; the scale path is a closed-system
-/// optimization).
+/// Panics on duplicate job ids and on churn traces the churn API
+/// rejects.
 pub fn run_open_in(
     params: &OpenParams,
     config: &SlrhConfig,
@@ -193,10 +190,6 @@ pub fn run_open_in(
     ctx: &mut RunContext,
     mut on_job: Option<JobHook<'_>>,
 ) -> OpenOutcome {
-    assert!(
-        config.scale.is_none(),
-        "open-system runs do not support the scale path"
-    );
     let machines = adhoc_grid::config::GridConfig::case(params.case).len();
 
     // Same churn preconditions as `churn_inner`, checked once up front.
@@ -253,8 +246,6 @@ pub fn run_open_in(
             }
         }
 
-        let mut cache = (config.use_pool_cache && config.scale.is_none())
-            .then(|| ctx.cache_for(&state, config.allow_secondary));
         let mut jstats = RunStats::default();
         // A fresh armed copy per job: each job's loop adapts (when
         // configured) from the configured starting weights.
@@ -265,27 +256,15 @@ pub fn run_open_in(
         let mut job_invalidated = 0usize;
 
         for (i, ev) in losses.iter().enumerate() {
-            now = drive_with(
-                &mut state,
-                &mut run,
-                &mut jstats,
-                cache.as_deref_mut(),
-                now,
-                Some(ev.at),
-                None,
-            );
+            let mut kernel = Kernel::new(&state, &run);
+            now = drive(&mut state, &mut run, &mut kernel, &mut jstats, now, Some(ev.at), None);
             let effective = now.max(ev.at);
-            let n = apply_loss_tracked(
-                &mut state,
-                cache.as_deref_mut(),
-                &mut jstats,
-                ev.machine,
-                effective,
-            );
+            let n = apply_loss(&mut state, ev.machine, effective);
             disruptions[i].1 += n;
             job_invalidated += n;
         }
-        drive_with(&mut state, &mut run, &mut jstats, cache, now, None, None);
+        let mut kernel = Kernel::new(&state, &run);
+        drive(&mut state, &mut run, &mut kernel, &mut jstats, now, None, None);
 
         let cost = schedule_cost(&sc, state.schedule());
         let completed = state.all_mapped();

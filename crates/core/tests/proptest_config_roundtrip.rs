@@ -7,7 +7,7 @@
 use adhoc_grid::units::Dur;
 use lagrange::weights::{AetSign, Weights};
 use proptest::prelude::*;
-use slrh::{MachineOrder, SlrhConfig, SlrhVariant, Trigger};
+use slrh::{MachineOrder, ScaleMode, SlrhConfig, SlrhVariant, Trigger};
 
 fn configs() -> impl Strategy<Value = SlrhConfig> {
     (
@@ -23,10 +23,15 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
             1u64..500,     // dt
             1u64..2000,    // horizon
             any::<bool>(), // secondary
-            any::<bool>(), // cache
+        ),
+        (
+            prop::sample::select(&[1u32, 1, 1, 2, 16]), // clusters (mostly exact)
+            prop::sample::select(&[8u64, 8, 1, 4]),     // spill
+            0u32..3,                                     // scan threads
+            any::<bool>(),                               // cached orders
         ),
     )
-        .prop_map(|((v, a, b, aet, trig), (ord, dt, h, sec, cache))| {
+        .prop_map(|((v, a, b, aet, trig), (ord, dt, h, sec), (clusters, spill, scan, orders))| {
             let w = Weights::new(a, b.min(1.0 - a)).expect("on-simplex");
             let mut c = SlrhConfig::paper(SlrhVariant::ALL[v], w);
             c.objective.aet_sign = if aet { AetSign::Positive } else { AetSign::Negative };
@@ -39,14 +44,26 @@ fn configs() -> impl Strategy<Value = SlrhConfig> {
             c.dt = Dur(dt);
             c.horizon = Dur(h);
             c.allow_secondary = sec;
-            c.use_pool_cache = cache;
+            c.scale = ScaleMode {
+                clusters,
+                spill_after: spill,
+                scan_threads: scan,
+                cached_orders: orders,
+            };
             c
         })
 }
 
 proptest! {
+    /// Also parses the legacy kernel switches (`cache=off` in place of
+    /// the constant `cache=on`, and `frontier=on|off` where no tuning
+    /// block follows): they select the one kernel, so the configuration
+    /// and its canonical text are unchanged.
     #[test]
-    fn display_round_trips_exactly(config in configs()) {
+    fn display_round_trips_exactly(
+        config in configs(),
+        frontier in prop::sample::select(&["", "; frontier=on", "; frontier=off"]),
+    ) {
         let text = config.to_string();
         let back: SlrhConfig = text.parse().expect("Display form parses");
         prop_assert_eq!(back, config);
@@ -56,6 +73,15 @@ proptest! {
             config.objective.weights.alpha().to_bits()
         );
         // And printing again is a fixpoint.
+        prop_assert_eq!(back.to_string(), text.clone());
+
+        prop_assert!(text.contains("; cache=on"));
+        let mut legacy = text.replace("; cache=on", "; cache=off");
+        if !legacy.contains("frontier=") {
+            legacy.push_str(frontier);
+        }
+        let back: SlrhConfig = legacy.parse().expect("legacy spelling parses");
+        prop_assert_eq!(back, config);
         prop_assert_eq!(back.to_string(), text);
     }
 }

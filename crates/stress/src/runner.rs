@@ -9,16 +9,14 @@
 //!   long-lived context. The context recycles buffers across *every*
 //!   case of the campaign, so a single stale carry-over anywhere shows
 //!   up as a signature mismatch here.
-//! * **incremental pool cache vs from-scratch pools** — the same run
-//!   with [`SlrhConfig::without_pool_cache`]. Schedules, metrics and
-//!   disruption logs must be identical, and the work counters must
-//!   satisfy `cached.candidates + cached.cache_hits == scratch.candidates`.
-//! * **incremental frontier vs full rebuild** — the same run with
-//!   [`SlrhConfig::with_frontier`] (single cluster, exact mode). The
-//!   worklist-maintained frontier must replay the per-tick pool rebuild
-//!   bit-for-bit: identical schedule, metrics, disruptions, commit count
-//!   and clock trajectory (work counters legitimately differ — the
-//!   frontier plans fewer candidates; that is the point).
+//! * **production kernel vs reference walk** — the same run with
+//!   [`SlrhConfig::reference_walk`] set, for the closed/churn arms and
+//!   the open-system stream. The worklist-maintained frontier must
+//!   replay the per-query pool rebuild bit-for-bit: identical schedule,
+//!   metrics, disruptions, commit count and clock trajectory (closed
+//!   and churn), identical per-job reports, disruptions and final
+//!   energy drain (open). Work counters legitimately differ — the
+//!   frontier plans fewer candidates; that is the point.
 //! * **fresh vs reused state buffers** for every static baseline.
 //! * **1-thread vs 4-thread** execution of the whole heuristic registry
 //!   under forced rayon pools.
@@ -46,7 +44,7 @@ use lagrange::weights::Objective;
 use rayon::prelude::*;
 use slrh::open::{run_open, run_open_in, OpenJobReport, OpenOutcome, COST_EPS};
 use slrh::{
-    run_slrh_churn, run_slrh_churn_in, Adaptation, DynamicOutcome, RunContext, RunStats,
+    run_slrh_churn, run_slrh_churn_in, Adaptation, DynamicOutcome, RunContext, SlrhConfig,
     SlrhVariant,
 };
 
@@ -113,33 +111,22 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             ));
         }
 
-        let scratch_cfg = config.without_pool_cache();
-        let scratch = run_slrh_churn_in(&sc, &scratch_cfg, &losses, &arrivals, ctx);
-        if dynamic_signature(&fresh, false) != dynamic_signature(&scratch, false) {
+        let reference_cfg = SlrhConfig { reference_walk: true, ..config };
+        let reference = run_slrh_churn_in(&sc, &reference_cfg, &losses, &arrivals, ctx);
+        if dynamic_signature(&fresh, false) != dynamic_signature(&reference, false) {
             failures.push(format!(
-                "{tag}: differential-poolcache: cached and from-scratch runs diverge"
+                "{tag}: differential-frontier: frontier and reference-walk runs diverge"
             ));
         }
-        if let Some(f) = accounting_identity(&tag, &fresh.stats, &scratch.stats) {
-            failures.push(f);
-        }
-
-        let frontier_cfg = config.with_frontier();
-        let frontier = run_slrh_churn_in(&sc, &frontier_cfg, &losses, &arrivals, ctx);
-        if dynamic_signature(&fresh, false) != dynamic_signature(&frontier, false) {
-            failures.push(format!(
-                "{tag}: differential-frontier: incremental-frontier and rebuild runs diverge"
-            ));
-        }
-        if frontier.stats.commits != fresh.stats.commits
-            || frontier.stats.clock_steps != fresh.stats.clock_steps
+        if reference.stats.commits != fresh.stats.commits
+            || reference.stats.clock_steps != fresh.stats.clock_steps
         {
             failures.push(format!(
                 "{tag}: differential-frontier: trajectory differs ({} commits/{} steps vs {}/{})",
-                frontier.stats.commits,
-                frontier.stats.clock_steps,
                 fresh.stats.commits,
                 fresh.stats.clock_steps,
+                reference.stats.commits,
+                reference.stats.clock_steps,
             ));
         }
 
@@ -150,8 +137,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         clock_steps += fresh.stats.clock_steps;
         fingerprint.update(&fresh_sig);
         ctx.reclaim(reused.state);
-        ctx.reclaim(scratch.state);
-        ctx.reclaim(frontier.state);
+        ctx.reclaim(reference.state);
         ctx.reclaim(fresh.state);
     }
 
@@ -310,6 +296,17 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
             ));
         }
 
+        // Production kernel vs the reference pool walk: every per-job
+        // report, disruption count and the final energy drain must be
+        // byte-identical (work counters legitimately differ).
+        let reference_cfg = SlrhConfig { reference_walk: true, ..config };
+        let reference = run_open_in(&params, &reference_cfg, &losses, &arrivals, ctx, None);
+        if open_signature(&fresh) != open_signature(&reference) {
+            failures.push(format!(
+                "{tag}: differential-frontier: frontier and reference-walk open runs diverge"
+            ));
+        }
+
         // 1-thread vs 4-thread forced rayon pools.
         let open_under = |threads: usize| -> OpenOutcome {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -354,41 +351,7 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
         }
         ctx.reclaim(closed.state);
 
-        let mut sig = String::new();
-        for r in &fresh.jobs {
-            let _ = write!(
-                sig,
-                "j:{} at={} mapped={}/{} t100={} fin={} cost={:016x} comp={} hit={} wb={:?} \
-                 inval={} ",
-                r.job.id,
-                r.job.at.0,
-                r.mapped,
-                r.job.tasks,
-                r.t100,
-                r.finish.0,
-                r.cost.to_bits(),
-                r.completed,
-                r.deadline_hit,
-                r.within_budget,
-                r.invalidated,
-            );
-        }
-        for (at, n) in &fresh.disruptions {
-            let _ = write!(sig, "d:{}@{} ", n, at.0);
-        }
-        for e in &fresh.final_spent {
-            let _ = write!(sig, "e:{:016x} ", e.units().to_bits());
-        }
-        let met = fresh.metrics();
-        let _ = write!(
-            sig,
-            "met:{}/{}/{} cost={:016x} mk={} ",
-            met.completed,
-            met.deadline_hits,
-            met.jobs,
-            met.total_cost.to_bits(),
-            met.makespan.0,
-        );
+        let sig = open_signature(&fresh);
         clock_steps += fresh.stats.clock_steps;
         fingerprint.update(&sig);
     }
@@ -476,29 +439,52 @@ pub fn run_seed(spec: &CaseSpec, ctx: &mut RunContext) -> RunReport {
     }
 }
 
-/// The pool-cache work-accounting identity: every candidate the cached
-/// run served from its cache is a candidate the from-scratch run had to
-/// replan, and the scratch run never hits a cache.
-fn accounting_identity(tag: &str, cached: &RunStats, scratch: &RunStats) -> Option<String> {
-    if scratch.pool_cache_hits != 0 {
-        return Some(format!(
-            "{tag}: accounting: scratch run reports {} cache hits with the cache disabled",
-            scratch.pool_cache_hits
-        ));
+/// Canonical signature of an open-system outcome: every per-job
+/// report, the disruption log, the final per-machine energy drain and
+/// the aggregate metrics — everything but the work counters.
+fn open_signature(out: &OpenOutcome) -> String {
+    let mut sig = String::new();
+    for r in &out.jobs {
+        let _ = write!(
+            sig,
+            "j:{} at={} mapped={}/{} t100={} fin={} cost={:016x} comp={} hit={} wb={:?} \
+             inval={} ",
+            r.job.id,
+            r.job.at.0,
+            r.mapped,
+            r.job.tasks,
+            r.t100,
+            r.finish.0,
+            r.cost.to_bits(),
+            r.completed,
+            r.deadline_hit,
+            r.within_budget,
+            r.invalidated,
+        );
     }
-    if cached.candidates_evaluated + cached.pool_cache_hits != scratch.candidates_evaluated {
-        return Some(format!(
-            "{tag}: accounting: cached {} evaluated + {} hits != scratch {} evaluated",
-            cached.candidates_evaluated, cached.pool_cache_hits, scratch.candidates_evaluated
-        ));
+    for (at, n) in &out.disruptions {
+        let _ = write!(sig, "d:{}@{} ", n, at.0);
     }
-    None
+    for e in &out.final_spent {
+        let _ = write!(sig, "e:{:016x} ", e.units().to_bits());
+    }
+    let met = out.metrics();
+    let _ = write!(
+        sig,
+        "met:{}/{}/{} cost={:016x} mk={} ",
+        met.completed,
+        met.deadline_hits,
+        met.jobs,
+        met.total_cost.to_bits(),
+        met.makespan.0,
+    );
+    sig
 }
 
 /// Canonical signature of a dynamic (churn) outcome. With `with_stats`
 /// the work counters are included (fresh-vs-reused-context must agree on
 /// everything); without, only schedule + metrics + disruptions (the
-/// pool-cache arms legitimately differ in work accounting).
+/// kernel-vs-reference arms legitimately differ in work accounting).
 pub(crate) fn dynamic_signature(out: &DynamicOutcome<'_>, with_stats: bool) -> String {
     let mut s = String::new();
     push_schedule(&mut s, out.state.schedule());
@@ -521,13 +507,12 @@ pub(crate) fn dynamic_signature(out: &DynamicOutcome<'_>, with_stats: bool) -> S
         let st = &out.stats;
         let _ = write!(
             s,
-            "steps={} builds={} cand={} commits={} hits={} inval={} wu={} ",
+            "steps={} builds={} cand={} commits={} hits={} wu={} ",
             st.clock_steps,
             st.pool_builds,
             st.candidates_evaluated,
             st.commits,
             st.pool_cache_hits,
-            st.pool_cache_invalidations,
             st.weight_updates,
         );
     }

@@ -11,9 +11,10 @@
 //!   the final state (independent validator, churn rules, battery
 //!   conservation, horizon gate, objective recomputation);
 //! * **differential, exact mode** — for cases small enough to afford the
-//!   quadratic rebuild path (≤ [`DIFF_MAX_TASKS`] tasks), the
-//!   single-cluster frontier run must match the per-tick rebuild run
-//!   byte-for-byte (schedule, metrics, disruptions);
+//!   quadratic reference walk (≤ [`DIFF_MAX_TASKS`] tasks), the
+//!   single-cluster frontier run must match the reference-walk run
+//!   ([`SlrhConfig::reference_walk`]) byte-for-byte (schedule, metrics,
+//!   disruptions);
 //! * **differential, ablation arms** — up to
 //!   [`ABLATION_DIFF_MAX_TASKS`] tasks, the `cached_orders = false`
 //!   resort run and a `scan_threads = 4` run must both replay the main
@@ -42,8 +43,8 @@ use crate::runner::dynamic_signature;
 /// [`crate::gen::STREAM_FUZZ`]).
 pub const STREAM_SCALE: u64 = 0x5CA1E;
 
-/// Largest case the rebuild-vs-frontier differential arm runs on: the
-/// rebuild path is O(|U|·|M|) per tick, so the arm is restricted to
+/// Largest case the reference-vs-frontier differential arm runs on: the
+/// reference walk is O(|U|·|M|) per tick, so the arm is restricted to
 /// sizes where that is still cheap.
 pub const DIFF_MAX_TASKS: usize = 2048;
 
@@ -180,18 +181,18 @@ pub fn run_scale_seed(case: &ScaleCase, ctx: &mut RunContext) -> ScaleReport {
     }
 
     // Exact-mode differential: at k = 1 the frontier is a pure
-    // optimization of the rebuild path and must replay it bit-for-bit.
-    // Bounded to sizes where the rebuild arm is affordable.
+    // optimization of the reference walk and must replay it bit-for-bit.
+    // Bounded to sizes where the reference arm is affordable.
     if case.tasks <= DIFF_MAX_TASKS && case.clusters == 1 {
-        let rebuild_cfg = SlrhConfig::paper(SlrhVariant::V1, case.weights);
-        let rebuild = run_slrh_churn_in(&sc, &rebuild_cfg, &losses, &[], ctx);
-        if dynamic_signature(&frontier, false) != dynamic_signature(&rebuild, false) {
+        let reference_cfg = SlrhConfig { reference_walk: true, ..config };
+        let reference = run_slrh_churn_in(&sc, &reference_cfg, &losses, &[], ctx);
+        if dynamic_signature(&frontier, false) != dynamic_signature(&reference, false) {
             failures.push(
-                "scale: differential-frontier: incremental-frontier and rebuild runs diverge"
+                "scale: differential-frontier: frontier and reference-walk runs diverge"
                     .to_string(),
             );
         }
-        ctx.reclaim(rebuild.state);
+        ctx.reclaim(reference.state);
     }
 
     // Scale-mode ablation differentials: the cached bound orders and the

@@ -131,9 +131,9 @@ impl Heuristic {
     }
 
     /// [`Heuristic::run`] on a reusable [`RunContext`]: the run's
-    /// simulation state (and, for SLRH, the pool cache) is built on the
-    /// context's recycled buffers and reclaimed before returning, so
-    /// consecutive calls through one context allocate almost nothing.
+    /// simulation state is built on the context's recycled buffers and
+    /// reclaimed before returning, so consecutive calls through one
+    /// context allocate almost nothing.
     /// Results are bit-identical to [`Heuristic::run`] — the context
     /// carries capacity, never content.
     pub fn run_in(self, scenario: &Scenario, weights: Weights, ctx: &mut RunContext) -> RunResult {

@@ -85,8 +85,8 @@ fn reused_context_stays_within_allocation_budget() {
     });
 
     // Differential: the per-run setup (state vectors, schedule and
-    // timeline storage, ledger, pool-cache slot table) is what the
-    // context amortises; the mapping itself still allocates transient
+    // timeline storage, ledger) is what the context amortises; the
+    // mapping itself still allocates its frontier and transient
     // per-candidate plan vectors, which both arms pay equally. Ten runs
     // of setup cost several hundred allocations — require reuse to
     // recover a conservative floor of them, and to never lose.
@@ -101,9 +101,11 @@ fn reused_context_stays_within_allocation_budget() {
 
     // Absolute pin: catches gross regressions in either the per-run
     // setup path or the mapping kernel's transient churn. Measured
-    // 49_563 on the reference toolchain (the bulk is per-candidate plan
-    // vectors inside the mapping loop, identical in both arms).
-    const BUDGET: u64 = 55_000;
+    // 9_281 in the test profile (8_681 in release) on the reference
+    // toolchain, with reuse recovering 527; the bulk is the frontier's
+    // per-run tables and per-candidate plan vectors inside the mapping
+    // loop, identical in both arms. The budget keeps ~11 % headroom.
+    const BUDGET: u64 = 10_300;
     assert!(
         reused <= BUDGET,
         "10 reused-context evaluations allocated {reused} times (budget {BUDGET})"

@@ -1,18 +1,19 @@
-//! Incremental-frontier ≡ full-rebuild equivalence under churn
-//! cascades, at 1 and 4 worker threads.
+//! Production kernel ≡ reference pool walk under churn cascades, at 1
+//! and 4 worker threads.
 //!
-//! The scale path ([`slrh::ScaleMode`]) replaces the per-tick pool
-//! rebuild with worklist-driven frontier maintenance, cached start
-//! floors, the §IV gate-rejection bitset and a bound-ordered candidate
-//! scan. At `clusters: 1` every one of those is a pure pruning of the
-//! same argmax, so a frontier run must replay the rebuild run
-//! **byte-for-byte** — schedule, metrics, disruption counts, final
-//! weights — including across machine-loss cascades that unmap most of
-//! the schedule and force frontier re-seeding. At `clusters > 1` the
-//! machine partition intentionally changes visibility, so equality with
-//! the rebuild path is not required — but the run must still be
-//! deterministic: bit-identical across repeats and across thread
-//! counts.
+//! The production kernel (tuned by [`slrh::ScaleMode`]) replaces the
+//! per-query pool rebuild of the reference walk
+//! ([`slrh::SlrhConfig::reference_walk`]) with worklist-driven frontier
+//! maintenance, cached start floors, the §IV gate-rejection bitset and
+//! a bound-ordered candidate scan. At `clusters: 1` every one of those
+//! is a pure pruning of the same argmax, so a production run must
+//! replay the reference run **byte-for-byte** — schedule, metrics,
+//! disruption counts, final weights — including across machine-loss
+//! cascades that unmap most of the schedule and force frontier
+//! re-seeding. At `clusters > 1` the machine partition intentionally
+//! changes visibility, so equality with the reference is not required
+//! — but the run must still be deterministic: bit-identical across
+//! repeats and across thread counts.
 //!
 //! The kernel itself is sequential; running under 1- and 4-thread rayon
 //! pools pins the embedding the campaign sweeps use (a worker-local
@@ -36,8 +37,8 @@ fn pool(threads: usize) -> rayon::ThreadPool {
 
 /// Deterministic full serialization of a churn run. `{:?}` on floats is
 /// shortest-roundtrip, so byte equality is bit equality. Work counters
-/// (`RunStats`) are deliberately excluded: the frontier path prunes
-/// candidates the rebuild path plans, so the counts differ even though
+/// (`RunStats`) are deliberately excluded: the frontier prunes
+/// candidates the reference walk plans, so the counts differ even though
 /// every output bit matches.
 fn canonical(out: &DynamicOutcome<'_>) -> String {
     let mut s = String::new();
@@ -95,6 +96,8 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         })
 }
 
+/// Run `case` on the kernel tuned by `scale`, or on the reference walk
+/// when `scale` is `None`.
 fn run_case(case: &Case, scale: Option<ScaleMode>) -> String {
     let params = ScaleParams::new(case.tasks, case.machines);
     let sc = params.generate(case.etc_id, case.dag_id);
@@ -115,8 +118,9 @@ fn run_case(case: &Case, scale: Option<ScaleMode>) -> String {
         .take(case.machines - 1)
         .collect();
     let mut cfg = SlrhConfig::paper(SlrhVariant::V1, case.weights);
-    if let Some(mode) = scale {
-        cfg = cfg.with_scale(mode);
+    match scale {
+        Some(mode) => cfg = cfg.with_scale(mode),
+        None => cfg.reference_walk = true,
     }
     canonical(&run_slrh_churn(&sc, &cfg, &losses, &[]))
 }
@@ -124,16 +128,16 @@ fn run_case(case: &Case, scale: Option<ScaleMode>) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Exact mode: the frontier at `clusters: 1` replays the rebuild
-    /// path bit-for-bit through loss cascades, under both pool widths.
+    /// Exact mode: the frontier at `clusters: 1` replays the reference
+    /// walk bit-for-bit through loss cascades, under both pool widths.
     #[test]
     fn frontier_matches_rebuild_under_churn(case in case_strategy()) {
         let exact = ScaleMode { clusters: 1, spill_after: 8, ..ScaleMode::default() };
-        let rebuild = pool(1).install(|| run_case(&case, None));
+        let reference = pool(1).install(|| run_case(&case, None));
         let frontier = pool(1).install(|| run_case(&case, Some(exact)));
         prop_assert_eq!(
-            &rebuild, &frontier,
-            "frontier (k=1) diverged from the rebuild path"
+            &reference, &frontier,
+            "frontier (k=1) diverged from the reference walk"
         );
         let frontier4 = pool(4).install(|| run_case(&case, Some(exact)));
         prop_assert_eq!(

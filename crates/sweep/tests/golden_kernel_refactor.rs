@@ -157,21 +157,3 @@ fn churn_matches_pre_refactor_reference() {
         churn_canonical(&out)
     });
 }
-
-#[test]
-fn churn_without_pool_cache_matches_pre_refactor_reference() {
-    // The same churn trajectory through the uncached planner: covers the
-    // from-scratch `build_pool_with` path (and its scratch reuse) rather
-    // than the `PoolCache` re-anchoring path.
-    assert_golden_differential("churn_nocache.txt", || {
-        let sc = Scenario::generate(&ScenarioParams::paper_scaled(192), GridCase::A, 0, 0);
-        let cfg = SlrhConfig::paper(SlrhVariant::V1, Weights::new(0.5, 0.3).unwrap())
-            .without_pool_cache();
-        let losses = [MachineLossEvent {
-            machine: MachineId(0),
-            at: Time(sc.tau.0 / 3),
-        }];
-        let out = run_slrh_churn(&sc, &cfg, &losses, &[]);
-        churn_canonical(&out)
-    });
-}

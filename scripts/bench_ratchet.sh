@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Scale-path performance ratchet: fails when the incremental-frontier
-# path regresses against the pool path, the 65k wall-clock ceiling, or
+# kernel regresses against the reference pool walk (the `pool` arm:
+# per-query pool builds, SlrhConfig::reference_walk), the 65k
+# wall-clock ceiling, or
 # 1.3x the best after_min_ms recorded for 16384x64 in BENCH_scale.json
 # (cases and history entries both count).
 #

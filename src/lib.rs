@@ -51,25 +51,22 @@
 //! println!("mapped {} of {} subtasks at the primary level", m.t100, scenario.tasks());
 //! ```
 //!
-//! ## Revisions, deltas, and the incremental pool cache
+//! ## Revisions, deltas, and the candidate frontier
 //!
 //! Every mutation of the simulator's [`sim::SimState`] — committing a
 //! plan, unmapping a subtask, losing a machine, blocking a timeline —
 //! bumps a monotonic revision counter and returns a
 //! [`sim::StateDelta`] naming exactly the subtasks and machines it
-//! affected. The SLRH clock loop feeds those deltas into
-//! [`slrh::PoolCache`], which keeps per-machine candidate pools alive
-//! across clock ticks under one invariant: the *costed* part of a
-//! cached plan (transfer sizes, durations, energies, reservations)
-//! depends only on static scenario tables and on where each parent is
-//! committed, so a delta's `invalidated`/`newly_ready` lists are
-//! precisely the slots to evict, while start times are re-anchored
-//! against the live timelines on every query
-//! ([`sim::SimState::reanchor`]). Cached pools are byte-identical to
-//! the from-scratch reference ([`slrh::build_pool`]) — property-tested
-//! under arbitrary mutation sequences, including machine-loss
-//! invalidation cascades — and cut the candidates planned by ~10× on
-//! the paper's largest workload.
+//! affected. The SLRH clock loop feeds those deltas into its one
+//! candidate-selection kernel, an incremental frontier (tuned by
+//! [`ScaleMode`]) that keeps the ready set alive across clock ticks,
+//! prunes candidates that provably cannot start within the horizon or
+//! fail the energy gate before planning them, and commits exactly the
+//! candidate the paper's pool walk would. The from-scratch pool
+//! ([`slrh::build_pool`]) is the reference it is checked against —
+//! property-tested under arbitrary mutation sequences, including
+//! machine-loss invalidation cascades, and fuzzed on closed, churn and
+//! open-system runs.
 
 pub use adhoc_grid as grid;
 pub use grid_baselines as baselines;
