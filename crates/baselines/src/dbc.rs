@@ -25,7 +25,7 @@
 use adhoc_grid::task::Version;
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::{MappingPlan, Placement};
+use gridsim::plan::{MappingPlan, Placement, PlanScratch};
 use gridsim::state::{SimState, StateBuffers};
 
 use crate::outcome::StaticOutcome;
@@ -64,6 +64,7 @@ pub fn run_dbc_in<'a>(
     buffers: &mut StateBuffers,
 ) -> StaticOutcome<'a> {
     let mut state = SimState::new_in(scenario, std::mem::take(buffers));
+    let mut scratch = PlanScratch::default();
     let mut evaluated = 0u64;
     let tau = scenario.tau;
 
@@ -78,7 +79,7 @@ pub fn run_dbc_in<'a>(
             } else {
                 continue;
             };
-            let plan = state.plan(t, v, j, Placement::Insert);
+            let plan = state.plan_with(t, v, j, Placement::Insert, &mut scratch);
             evaluated += 1;
             let finish = plan.finish();
             let cost = plan_cost(scenario, &plan);
@@ -201,6 +202,7 @@ mod tests {
     fn plan_cost_sums_to_schedule_cost() {
         let sc = scenario(32, 3, 3);
         let mut state = SimState::new(&sc);
+        let mut scratch = PlanScratch::default();
         let mut total = 0.0;
         while let Some(&t) = state.ready_tasks().iter().min() {
             let Some(j) = sc
@@ -210,7 +212,7 @@ mod tests {
             else {
                 break;
             };
-            let plan = state.plan(t, Version::Primary, j, Placement::Insert);
+            let plan = state.plan_with(t, Version::Primary, j, Placement::Insert, &mut scratch);
             total += plan_cost(&sc, &plan);
             state.commit(&plan);
         }

@@ -17,7 +17,7 @@
 use adhoc_grid::task::Version;
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::Placement;
+use gridsim::plan::{Placement, PlanScratch};
 use gridsim::state::{SimState, StateBuffers};
 
 use crate::outcome::StaticOutcome;
@@ -36,6 +36,7 @@ pub fn run_greedy(scenario: &Scenario) -> StaticOutcome<'_> {
 #[allow(clippy::while_let_loop)] // the loop also breaks on placement failure
 pub fn run_greedy_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> StaticOutcome<'a> {
     let mut state = SimState::new_in(scenario, std::mem::take(buffers));
+    let mut scratch = PlanScratch::default();
     let mut evaluated = 0u64;
 
     loop {
@@ -51,7 +52,7 @@ pub fn run_greedy_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> 
             } else {
                 continue;
             };
-            let plan = state.plan(t, v, j, Placement::Insert);
+            let plan = state.plan_with(t, v, j, Placement::Insert, &mut scratch);
             evaluated += 1;
             let finish = plan.finish();
             let better = match &best {

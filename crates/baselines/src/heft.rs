@@ -17,7 +17,7 @@ use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::{MappingPlan, Placement};
+use gridsim::plan::{MappingPlan, Placement, PlanScratch};
 use gridsim::state::{SimState, StateBuffers};
 
 use crate::outcome::StaticOutcome;
@@ -86,6 +86,7 @@ pub fn run_heft(scenario: &Scenario) -> StaticOutcome<'_> {
 pub fn run_heft_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> StaticOutcome<'a> {
     let rank = upward_ranks(scenario);
     let mut state = SimState::new_in(scenario, std::mem::take(buffers));
+    let mut scratch = PlanScratch::default();
     let mut evaluated = 0u64;
 
     loop {
@@ -109,7 +110,7 @@ pub fn run_heft_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> St
             } else {
                 continue;
             };
-            let plan = state.plan(t, v, j, Placement::Insert);
+            let plan = state.plan_with(t, v, j, Placement::Insert, &mut scratch);
             evaluated += 1;
             let finish = plan.finish();
             let better = match &best {

@@ -24,7 +24,7 @@
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::Version;
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::Placement;
+use gridsim::plan::{Placement, PlanScratch};
 use gridsim::state::{SimState, StateBuffers};
 use lagrange::dual::{Choice, SeparableProblem, Selection};
 use lagrange::step::StepRule;
@@ -155,6 +155,7 @@ pub fn run_lr_list_in<'a>(
 
     // Phase 3: precedence-respecting repair.
     let mut state = SimState::new_in(scenario, std::mem::take(buffers));
+    let mut scratch = PlanScratch::default();
     let mut evaluated = dual.solver.history.len() as u64 * scenario.tasks() as u64;
 
     loop {
@@ -172,7 +173,7 @@ pub fn run_lr_list_in<'a>(
         let (pj, pv) = decode(dual.selection.0[t.0]);
         let plan = if state.version_feasible(t, pv, pj) {
             evaluated += 1;
-            Some(state.plan(t, pv, pj, Placement::Insert))
+            Some(state.plan_with(t, pv, pj, Placement::Insert, &mut scratch))
         } else {
             // Fallback: earliest completion among feasible options.
             let mut best: Option<gridsim::plan::MappingPlan> = None;
@@ -181,7 +182,7 @@ pub fn run_lr_list_in<'a>(
                     if !state.version_feasible(t, v, j) {
                         continue;
                     }
-                    let p = state.plan(t, v, j, Placement::Insert);
+                    let p = state.plan_with(t, v, j, Placement::Insert, &mut scratch);
                     evaluated += 1;
                     let better = match &best {
                         None => true,

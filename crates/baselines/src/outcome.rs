@@ -9,8 +9,12 @@ use gridsim::MappingOutcome;
 pub struct StaticOutcome<'a> {
     /// Final simulation state (schedule, ledger, metrics).
     pub state: SimState<'a>,
-    /// Number of candidate (task, version, machine) plans evaluated — the
-    /// host-independent work proxy, comparable to the SLRH run stats.
+    /// Number of candidate (task, version, machine) triplets that passed
+    /// the heuristic's gates — the host-independent work proxy,
+    /// comparable to the SLRH run stats. It counts gated candidates, not
+    /// plans computed: Max-Max plans only the triplets whose objective
+    /// bound can still win, but counts every gated one, as the
+    /// exhaustive scan would plan them.
     pub candidates_evaluated: u64,
 }
 

@@ -10,7 +10,7 @@ use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::Time;
 use adhoc_grid::workload::Scenario;
-use gridsim::plan::{MappingPlan, Placement};
+use gridsim::plan::{MappingPlan, Placement, PlanScratch};
 use gridsim::state::{SimState, StateBuffers};
 
 use crate::outcome::StaticOutcome;
@@ -51,6 +51,7 @@ pub fn run_olb(scenario: &Scenario) -> StaticOutcome<'_> {
 #[allow(clippy::while_let_loop)] // the loop also breaks on placement failure
 pub fn run_olb_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> StaticOutcome<'a> {
     let mut state = SimState::new_in(scenario, std::mem::take(buffers));
+    let mut scratch = PlanScratch::default();
     let mut evaluated = 0u64;
 
     loop {
@@ -75,7 +76,7 @@ pub fn run_olb_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> Sta
         }
         match choice {
             Some((_, j, v)) => {
-                let plan = state.plan(t, v, j, Placement::Insert);
+                let plan = state.plan_with(t, v, j, Placement::Insert, &mut scratch);
                 state.commit(&plan);
             }
             None => break,
@@ -98,6 +99,7 @@ pub fn run_minmin(scenario: &Scenario) -> StaticOutcome<'_> {
 /// [`StateBuffers`]); results are identical.
 pub fn run_minmin_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> StaticOutcome<'a> {
     let mut state = SimState::new_in(scenario, std::mem::take(buffers));
+    let mut scratch = PlanScratch::default();
     let mut evaluated = 0u64;
 
     loop {
@@ -107,7 +109,7 @@ pub fn run_minmin_in<'a>(scenario: &'a Scenario, buffers: &mut StateBuffers) -> 
                 let Some(v) = feasible_version(&state, t, j) else {
                     continue;
                 };
-                let plan = state.plan(t, v, j, Placement::Insert);
+                let plan = state.plan_with(t, v, j, Placement::Insert, &mut scratch);
                 evaluated += 1;
                 let finish = plan.finish();
                 let better = match &best {

@@ -23,7 +23,8 @@
 
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
-use adhoc_grid::units::Time;
+use adhoc_grid::units::{Energy, Time};
+use gridsim::metrics::Metrics;
 use gridsim::plan::{MappingPlan, Placement, PlanScratch};
 use gridsim::state::SimState;
 use lagrange::weights::{Objective, ObjectiveInputs};
@@ -108,11 +109,30 @@ impl<'a> IntoIterator for &'a Pool {
 
 /// Evaluate the global objective a plan would produce.
 pub fn plan_objective(state: &SimState<'_>, objective: &Objective, plan: &MappingPlan) -> f64 {
-    let m = state.metrics();
+    objective_after(
+        &state.metrics(),
+        objective,
+        plan.t100_after,
+        plan.tec_after,
+        plan.aet_after,
+    )
+}
+
+/// The global objective on post-commit `T100`, `TEC` and `AET`,
+/// normalised by `m`'s task count, `TSE` and τ — the one expression
+/// [`plan_objective`] evaluates, for callers that bound a plan's value
+/// from some of its quantities before (or instead of) planning it.
+pub fn objective_after(
+    m: &Metrics,
+    objective: &Objective,
+    t100_after: usize,
+    tec_after: Energy,
+    aet_after: Time,
+) -> f64 {
     objective.evaluate(&ObjectiveInputs {
-        t100_frac: plan.t100_after as f64 / m.tasks as f64,
-        tec_frac: plan.tec_after / m.tse,
-        aet_frac: plan.aet_after.as_seconds() / m.tau.as_seconds(),
+        t100_frac: t100_after as f64 / m.tasks as f64,
+        tec_frac: tec_after / m.tse,
+        aet_frac: aet_after.as_seconds() / m.tau.as_seconds(),
     })
 }
 

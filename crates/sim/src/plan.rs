@@ -10,7 +10,9 @@
 use adhoc_grid::config::MachineId;
 use adhoc_grid::task::{TaskId, Version};
 use adhoc_grid::units::{Dur, Energy, Megabits, Time};
+use adhoc_grid::workload::Scenario;
 
+use crate::schedule::Assignment;
 use crate::state::SimState;
 use crate::timeline::{Interval, Timeline};
 
@@ -192,10 +194,7 @@ pub(crate) fn plan_mapping(
             });
             continue;
         }
-        let size = sc.data.edge(&sc.dag, p, task).scaled(pa.version.data_factor());
-        let from_spec = sc.grid.machine(pa.machine);
-        let to_spec = sc.grid.machine(machine);
-        let dur = from_spec.transfer_dur(to_spec, size);
+        let (size, dur, energy) = edge_transfer(sc, p, pa, task, machine);
         tx_extra.clear();
         tx_extra.extend(
             tx_overlays
@@ -212,7 +211,6 @@ pub(crate) fn plan_mapping(
             earliest,
             dur,
         );
-        let energy = from_spec.transmit_energy(dur);
         let iv = Interval::new(start, dur);
         tx_overlays.push((pa.machine, iv));
         rx_overlay.push(iv);
@@ -245,6 +243,9 @@ pub(crate) fn plan_mapping(
     let child_reservations = worst_case_child_reservations(state, task, version, machine);
 
     let t100_after = state.t100() + usize::from(version.is_primary());
+    // The transfer sum folds the same per-edge energies in the same
+    // parent order as [`SimState::incoming_transfer_energy`], so a
+    // caller can know `tec_after` exactly without planning.
     let tec_after = state.tec()
         + exec_energy
         + transfers.iter().map(|t| t.energy).sum::<Energy>();
@@ -264,6 +265,27 @@ pub(crate) fn plan_mapping(
         tec_after,
         aet_after,
     }
+}
+
+/// The cross-machine transfer parent `p` (mapped as `pa`) owes `task`
+/// on `machine`: the shipped item size (the parent's version factor
+/// applied), the slot length and the energy the sender pays. Only the
+/// slot's *start* depends on link contention; size, length and energy
+/// are fixed by the two machines and the edge. The single definition the
+/// planner, [`SimState::candidate_floor_cost`] and
+/// [`SimState::incoming_transfer_energy`] share. Callers handle
+/// same-machine parents (instantaneous and free) themselves.
+pub(crate) fn edge_transfer(
+    sc: &Scenario,
+    p: TaskId,
+    pa: &Assignment,
+    task: TaskId,
+    machine: MachineId,
+) -> (Megabits, Dur, Energy) {
+    let size = sc.data.edge(&sc.dag, p, task).scaled(pa.version.data_factor());
+    let from_spec = sc.grid.machine(pa.machine);
+    let dur = from_spec.transfer_dur(sc.grid.machine(machine), size);
+    (size, dur, from_spec.transmit_energy(dur))
 }
 
 /// Total §IV worst-case outgoing energy for `(task, version)` on

@@ -855,13 +855,35 @@ impl<'a> SimState<'a> {
                 floor = floor.max(pa.finish());
                 continue;
             }
-            let size = sc.data.edge(&sc.dag, p, t).scaled(pa.version.data_factor());
-            let from_spec = sc.grid.machine(pa.machine);
-            let dur = from_spec.transfer_dur(sc.grid.machine(j), size);
+            let (_, dur, energy) = plan::edge_transfer(sc, p, pa, t, j);
             floor = floor.max(pa.finish().max(not_before) + dur);
-            tx_energy += from_spec.transmit_energy(dur);
+            tx_energy += energy;
         }
         (floor, tx_energy)
+    }
+
+    /// Total energy the incoming cross-machine transfers of `t` on `j`
+    /// would charge their senders — the transfer term of a
+    /// [`MappingPlan`]'s `tec_after`, bit for bit (same per-edge
+    /// expression, same parent order, same fold). Transfer energy depends
+    /// only on item sizes and link rates, never on when the slots land,
+    /// so it is fixed once every parent is mapped.
+    ///
+    /// # Panics
+    /// Panics if any parent of `t` is unmapped.
+    pub fn incoming_transfer_energy(&self, t: TaskId, j: MachineId) -> Energy {
+        self.sc
+            .dag
+            .parents(t)
+            .iter()
+            .filter_map(|&p| {
+                let pa = self
+                    .schedule()
+                    .assignment(p)
+                    .unwrap_or_else(|| panic!("parent {p} of {t} is not mapped"));
+                (pa.machine != j).then(|| plan::edge_transfer(self.sc, p, pa, t, j).2)
+            })
+            .sum()
     }
 
     /// [`SimState::plan`] with caller-provided scratch buffers, for tight

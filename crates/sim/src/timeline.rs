@@ -10,6 +10,10 @@
 //!   hole-insertion and by transfer-slot search), and
 //! * [`Timeline::insert`] — commit an occupation, with overlap detection
 //!   as a hard invariant.
+//!
+//! The timeline also keeps a running busy-tick total, so
+//! [`Timeline::total_busy`] (read by Max-Max's downgrade guard for every
+//! machine on every selection step) is O(1).
 
 use adhoc_grid::units::{Dur, Time};
 
@@ -42,6 +46,9 @@ impl Interval {
 pub struct Timeline {
     /// Sorted by start; pairwise disjoint.
     busy: Vec<Interval>,
+    /// Sum of the busy intervals' lengths in ticks, maintained by
+    /// `insert`/`remove`/`clear`.
+    busy_ticks: u64,
 }
 
 impl Timeline {
@@ -55,6 +62,7 @@ impl Timeline {
     /// between consecutive runs).
     pub fn clear(&mut self) {
         self.busy.clear();
+        self.busy_ticks = 0;
     }
 
     /// Number of busy intervals.
@@ -103,19 +111,28 @@ impl Timeline {
     /// Like [`Timeline::earliest_gap`], but also avoiding the `extra`
     /// intervals (used when planning several transfers in one mapping
     /// before any of them is committed). `extra` need not be sorted.
+    ///
+    /// One binary search finds the first base interval ending after
+    /// `not_before`; from there the candidate instant only moves forward,
+    /// so the base cursor walks forward with it instead of searching
+    /// again after every bump. With `k` base intervals walked past, the
+    /// cost is O(k + log n) base work plus O(|extra|) per overlay bump.
     pub fn earliest_gap_with(&self, extra: &[Interval], not_before: Time, dur: Dur) -> Time {
         if dur.is_zero() {
             return not_before;
         }
         let mut t = not_before;
-        'search: loop {
+        // Invariant: `busy[idx]` is the first base interval with end > t.
+        let mut idx = self.busy.partition_point(|iv| iv.end <= t);
+        loop {
             let probe = Interval::new(t, dur);
-            // Conflict in the sorted base?
-            let idx = self.busy.partition_point(|iv| iv.end <= t);
+            // Conflict in the sorted base? Intervals are disjoint and
+            // sorted, so the one at the cursor is the only candidate.
             if let Some(iv) = self.busy.get(idx) {
                 if iv.overlaps(&probe) {
                     t = iv.end;
-                    continue 'search;
+                    idx += 1;
+                    continue;
                 }
             }
             // Conflict in the (small, unsorted) overlay? Move past the
@@ -130,7 +147,12 @@ impl Timeline {
                 }
             }
             match bumped {
-                Some(b) => t = b,
+                Some(b) => {
+                    t = b;
+                    while self.busy.get(idx).is_some_and(|iv| iv.end <= t) {
+                        idx += 1;
+                    }
+                }
                 None => return t,
             }
         }
@@ -163,6 +185,7 @@ impl Timeline {
             );
         }
         self.busy.insert(idx, iv);
+        self.busy_ticks += dur.0;
     }
 
     /// Remove a previously inserted occupation (used by the dynamic
@@ -185,11 +208,12 @@ impl Timeline {
             "interval at {start:?} has a different duration"
         );
         self.busy.remove(idx);
+        self.busy_ticks -= dur.0;
     }
 
-    /// Total busy span.
+    /// Total busy span, O(1) from the running total.
     pub fn total_busy(&self) -> Dur {
-        self.busy.iter().map(|iv| iv.end.since(iv.start)).sum()
+        Dur(self.busy_ticks)
     }
 }
 

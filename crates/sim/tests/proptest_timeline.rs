@@ -98,6 +98,37 @@ proptest! {
         prop_assert!(tl.is_empty());
     }
 
+    /// The running busy total equals the sum recomputed from the
+    /// intervals after every step of a random insert/remove sequence,
+    /// and `clear` resets it.
+    #[test]
+    fn total_busy_matches_recomputed_sum(
+        ops in prop::collection::vec((any::<bool>(), 0u64..5_000, 0u64..200, 0usize..1_000), 1..80),
+    ) {
+        let recomputed = |tl: &Timeline| -> u64 {
+            tl.intervals().iter().map(|iv| iv.end.0 - iv.start.0).sum()
+        };
+        let mut tl = Timeline::new();
+        let mut placed: Vec<(Time, Dur)> = Vec::new();
+        for (insert, not_before, dur, pick) in ops {
+            if insert || placed.is_empty() {
+                // Zero durations ride along: they must not count.
+                let start = tl.earliest_gap(Time(not_before), Dur(dur));
+                tl.insert(start, Dur(dur));
+                if dur > 0 {
+                    placed.push((start, Dur(dur)));
+                }
+            } else {
+                let (start, d) = placed.swap_remove(pick % placed.len());
+                tl.remove(start, d);
+            }
+            prop_assert_eq!(tl.total_busy().0, recomputed(&tl));
+        }
+        tl.clear();
+        prop_assert_eq!(tl.total_busy(), Dur::ZERO);
+        prop_assert!(tl.is_empty());
+    }
+
     /// The overlay-aware gap search agrees with physically inserting the
     /// overlay intervals.
     #[test]
@@ -206,4 +237,42 @@ fn overlapping_overlay_entries() {
     ];
     assert_eq!(tl.earliest_gap_with(&overlay, Time(0), Dur(4)), Time(15));
     assert_eq!(naive_gap_with(&tl, &overlay, Time(0), Dur(4)), Time(15));
+}
+
+/// An overlay bump can jump clean over base intervals the search has not
+/// walked past yet: the base cursor must catch up to the new instant
+/// before the next conflict check, or it tests a stale interval and
+/// misses the one the probe really hits.
+#[test]
+fn overlay_bump_past_base_intervals() {
+    let mut tl = Timeline::new();
+    tl.insert(Time(20), Dur(2)); // base [20,22), jumped over
+    tl.insert(Time(40), Dur(10)); // base [40,50), hit after the jump
+    let overlay = [Interval::new(Time(0), Dur(30))]; // [0,30)
+    assert_eq!(tl.earliest_gap_with(&overlay, Time(0), Dur(15)), Time(50));
+    assert_eq!(naive_gap_with(&tl, &overlay, Time(0), Dur(15)), Time(50));
+}
+
+proptest! {
+    /// The naive-reference agreement when one long overlay interval
+    /// covers `not_before` and many short base intervals: every search
+    /// starts with an overlay bump over part of the base, the regime
+    /// where the forward cursor has to skip intervals it never tested.
+    #[test]
+    fn long_overlay_jump_matches_naive_reference(
+        base in prop::collection::vec((0u64..400, 1u64..12), 1..16),
+        overlay_len in 1u64..300,
+        probe_nb in 0u64..100,
+        probe_dur in 1u64..60,
+    ) {
+        let mut tl = Timeline::new();
+        for (not_before, dur) in base {
+            let start = tl.earliest_gap(Time(not_before), Dur(dur));
+            tl.insert(start, Dur(dur));
+        }
+        let overlay = [Interval::new(Time(probe_nb), Dur(overlay_len))];
+        let fast = tl.earliest_gap_with(&overlay, Time(probe_nb), Dur(probe_dur));
+        let naive = naive_gap_with(&tl, &overlay, Time(probe_nb), Dur(probe_dur));
+        prop_assert_eq!(fast, naive);
+    }
 }
